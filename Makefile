@@ -38,10 +38,10 @@ vuln:
 verify:
 	scripts/verify.sh
 
-# Benchmark smoke: run the fixed subset and compare against the
-# committed reference; fails on a >10% throughput regression.
+# Benchmark harness tests (bench/siptperf is its own module; see its
+# README.md for running workloads and same-host A/B comparisons).
 bench:
-	scripts/bench.sh
+	cd bench/siptperf && $(GO) test ./...
 
 # Service smoke: boot siptd on an ephemeral port, drive a run and a
 # sweep through the HTTP API, then SIGTERM and require a clean drain.
@@ -76,12 +76,14 @@ chaos:
 	$(GO) test -race -short -run 'TestChaos' ./internal/fabric/
 
 # Native Go fuzzing over the pure bit-math and allocator invariants,
-# plus the lint loader/dataflow stack on generated Go sources.
+# the core timing model against its plain reference, plus the lint
+# loader/dataflow stack on generated Go sources.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIndexDelta -fuzztime=$(FUZZTIME) ./internal/memaddr/
 	$(GO) test -run='^$$' -fuzz=FuzzUnchangedBits -fuzztime=$(FUZZTIME) ./internal/memaddr/
 	$(GO) test -run='^$$' -fuzz=FuzzAlignAndLog2 -fuzztime=$(FUZZTIME) ./internal/memaddr/
 	$(GO) test -run='^$$' -fuzz=FuzzBuddy -fuzztime=$(FUZZTIME) ./internal/vm/
+	$(GO) test -run='^$$' -fuzz=FuzzCoreMatchesReference -fuzztime=$(FUZZTIME) ./internal/cpu/
 	$(GO) test -run='^$$' -fuzz=FuzzLoader -fuzztime=$(FUZZTIME) ./internal/lint/
 	$(GO) test -run='^$$' -fuzz=FuzzReadBuffer -fuzztime=$(FUZZTIME) ./internal/tracefile/
 	$(GO) test -run='^$$' -fuzz=FuzzCanonicalRoundTrip -fuzztime=$(FUZZTIME) ./internal/store/

@@ -16,15 +16,10 @@
 //	-apps list   comma-separated app subset (default: the 26 figure apps)
 //	-csv         emit CSV instead of aligned text
 //	-list        list experiment ids and exit
-//	-bench       run the fixed benchmark subset, write BENCH_<seed>.json
-//	-benchout P  override the benchmark output path
-//	-count N     bench repetitions per experiment (default 3, best kept)
 //	-cpuprofile P  write a CPU profile to P (view with go tool pprof)
 //	-memprofile P  write an end-of-run heap profile to P
 //
-// The -bench mode ignores -records/-apps/-workers: its settings are
-// pinned (see bench.go) so results are comparable across runs and
-// commits. Compare two result files with cmd/benchcmp.
+// Performance is measured by the bench/siptperf harness, not here.
 //
 // Exit codes: 0 success, 1 failure, 2 bad flags or unknown experiment,
 // 3 the -timeout deadline expired before the run finished.
@@ -100,9 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	markdown := fs.Bool("markdown", false, "emit Markdown tables")
 	list := fs.Bool("list", false, "list experiments and exit")
 	workers := fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-	bench := fs.Bool("bench", false, "run the fixed benchmark subset and write BENCH_<seed>.json")
-	benchOut := fs.String("benchout", "", "benchmark output path (default BENCH_<seed>.json)")
-	count := fs.Int("count", defaultBenchReps, "bench repetitions per experiment; the fastest is recorded")
 	timeout := fs.Duration("timeout", 0, "abort the whole run after this duration (0 = no limit)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memProfile := fs.String("memprofile", "", "write an end-of-run heap profile to this path")
@@ -124,18 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-	}
-
-	if *bench {
-		path := *benchOut
-		if path == "" {
-			path = fmt.Sprintf("BENCH_%d.json", *seed)
-		}
-		if err := runBench(*seed, path, *count); err != nil {
-			fmt.Fprintf(stderr, "siptbench: bench: %v\n", err)
-			return 1
-		}
-		return 0
 	}
 
 	if *list {

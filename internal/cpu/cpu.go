@@ -17,7 +17,9 @@
 //   - in-order retirement.
 //
 // Everything below the core (SIPT L1, TLB, L2/LLC/DRAM, port
-// contention) lives behind the MemSystem interface.
+// contention) lives behind the MemSystem interface. Core is the only
+// implementation of this timing: single-core runs, the fused sweep's
+// lanes and the quad-core interleave all step it.
 package cpu
 
 import (
@@ -105,15 +107,14 @@ func (r Result) IPC() float64 {
 	return float64(r.Instructions) / float64(r.Cycles)
 }
 
-// ChaseDistMax is the DepDist at or below which a load is treated as
+// chaseDistMax is the DepDist at or below which a load is treated as
 // part of a pointer chase (its address depends on the previous load of
-// the same PC). Exported for the fused SoA sweep kernel (internal/sim),
-// which replicates the step semantics with lane-indexed state.
-const ChaseDistMax = 3
+// the same PC).
+const chaseDistMax = 3
 
-// StallRingSize sizes the consumer-stall ring (consumer instruction
+// stallRingSize sizes the consumer-stall ring (consumer instruction
 // index -> cycle its operand is ready), above the maximum DepDist.
-const StallRingSize = 256
+const stallRingSize = 256
 
 // Core is a single core's timing state. One Core simulates one trace;
 // create a fresh Core per run.
@@ -135,29 +136,29 @@ type Core struct {
 
 	// chainDense/chainMap map a load PC to its last completion time (OOO
 	// pointer-chase chains). Synthetic traces use a small dense PC range
-	// starting at ChainBase, served by a slice; anything else (replayed
+	// starting at chainBase, served by a slice; anything else (replayed
 	// real traces) falls back to the map.
 	chainDense []uint64
 	chainMap   map[uint64]uint64
 	// stallReady implements the in-order stall-on-use ring.
-	stallReady [StallRingSize]uint64
+	stallReady [stallRingSize]uint64
 
 	res Result
 }
 
-// ChainBase is the code region synthetic workloads place memory PCs in
-// (workload.Generator's basePC); PCs in [ChainBase, ChainBase+4*ChainDenseSlots)
+// chainBase is the code region synthetic workloads place memory PCs in
+// (workload.Generator's basePC); PCs in [chainBase, chainBase+4*chainDenseSlots)
 // take the allocation-free dense path.
 const (
-	ChainBase       = 0x400000
-	ChainDenseSlots = 1 << 14
+	chainBase       = 0x400000
+	chainDenseSlots = 1 << 14
 )
 
 //sipt:hotpath
 func (c *Core) chainGet(pc uint64) uint64 {
-	if idx := (pc - ChainBase) >> 2; idx < uint64(len(c.chainDense)) {
+	if idx := (pc - chainBase) >> 2; idx < uint64(len(c.chainDense)) {
 		return c.chainDense[idx]
-	} else if idx < ChainDenseSlots {
+	} else if idx < chainDenseSlots {
 		return 0
 	}
 	//siptlint:allow hotalloc: cold fallback, reached only by replayed real traces with PCs outside the dense range
@@ -165,10 +166,12 @@ func (c *Core) chainGet(pc uint64) uint64 {
 }
 
 func (c *Core) chainSet(pc, completion uint64) {
-	idx := (pc - ChainBase) >> 2
-	if idx < ChainDenseSlots {
+	idx := (pc - chainBase) >> 2
+	if idx < chainDenseSlots {
 		if idx >= uint64(len(c.chainDense)) {
-			grown := make([]uint64, (idx+1)*2)
+			// Capped at the window: chainGet reads any index below
+			// len(chainDense) densely.
+			grown := make([]uint64, min((idx+1)*2, chainDenseSlots))
 			copy(grown, c.chainDense)
 			c.chainDense = grown
 		}
@@ -208,36 +211,6 @@ func (c *Core) Result() Result {
 	return r
 }
 
-// dispatchOne advances the front-end by one instruction and returns its
-// dispatch cycle, honouring width, ROB occupancy, and (in-order)
-// operand stalls.
-//
-//sipt:hotpath
-func (c *Core) dispatchOne() uint64 {
-	// ROB: wait for instruction instr-ROB to retire.
-	if floor := c.retireRing[c.robIdx]; floor > c.dispatchCycle {
-		c.dispatchCycle = floor
-		c.slotsUsed = 0
-	}
-	if c.stallOn {
-		slot := c.instr % StallRingSize
-		if ready := c.stallReady[slot]; ready != 0 {
-			if ready > c.dispatchCycle {
-				c.dispatchCycle = ready
-				c.slotsUsed = 0
-			}
-			c.stallReady[slot] = 0
-		}
-	}
-	at := c.dispatchCycle
-	c.slotsUsed++
-	if c.slotsUsed >= c.cfg.Width {
-		c.dispatchCycle++
-		c.slotsUsed = 0
-	}
-	return at
-}
-
 // retire records an instruction's completion, enforcing in-order
 // retirement.
 //
@@ -256,26 +229,27 @@ func (c *Core) retire(completion uint64) {
 	c.res.Instructions++
 }
 
-// gapRun dispatches and retires n consecutive non-memory unit-latency
-// instructions. It is dispatchOne+retire fused with the core state held
-// in locals: gap instructions are the majority of all instructions and
-// touch nothing but the rings, so keeping dispatch cycle, slot count,
-// and ring index in registers for the whole run pays.
+// dispatch dispatches and retires a record's n leading non-memory
+// unit-latency instructions, then dispatches the access itself and
+// returns its dispatch cycle, honouring width, ROB occupancy and
+// consumer stalls; the caller retires the access. Gap instructions are
+// the majority of all instructions and touch nothing but the rings, so
+// the core state stays in locals for the whole run.
 //
 //sipt:hotpath
-func (c *Core) gapRun(n uint16) {
+func (c *Core) dispatch(n uint16) uint64 {
 	d, u, r := c.dispatchCycle, c.slotsUsed, c.lastRetire
 	ri, ins := c.robIdx, c.instr
 	ring := c.retireRing
 	width, rob := c.cfg.Width, c.cfg.ROB
-	for g := uint16(0); g < n; g++ {
+	for g := uint16(0); ; g++ {
 		// ROB: wait for instruction ins-ROB to retire.
 		if floor := ring[ri]; floor > d {
 			d = floor
 			u = 0
 		}
 		if c.stallOn {
-			slot := ins % StallRingSize
+			slot := ins % stallRingSize
 			if ready := c.stallReady[slot]; ready != 0 {
 				if ready > d {
 					d = ready
@@ -290,6 +264,12 @@ func (c *Core) gapRun(n uint16) {
 			d++
 			u = 0
 		}
+		if g == n {
+			c.dispatchCycle, c.slotsUsed, c.lastRetire = d, u, r
+			c.robIdx, c.instr = ri, ins
+			c.res.Instructions += uint64(n)
+			return at
+		}
 		completion := at + 1
 		if completion < r {
 			completion = r
@@ -302,9 +282,6 @@ func (c *Core) gapRun(n uint16) {
 		r = completion
 		ins++
 	}
-	c.dispatchCycle, c.slotsUsed, c.lastRetire = d, u, r
-	c.robIdx, c.instr = ri, ins
-	c.res.Instructions += uint64(n)
 }
 
 // step simulates one trace record: its leading non-memory instructions
@@ -312,12 +289,7 @@ func (c *Core) gapRun(n uint16) {
 //
 //sipt:hotpath
 func (c *Core) step(rec *trace.Record) {
-	// Non-memory gap instructions: unit latency.
-	if rec.Gap > 0 {
-		c.gapRun(rec.Gap)
-	}
-
-	at := c.dispatchOne()
+	at := c.dispatch(rec.Gap)
 	if rec.IsStore() {
 		c.res.Stores++
 		// Stores retire from a write buffer: unit latency for the core;
@@ -329,7 +301,7 @@ func (c *Core) step(rec *trace.Record) {
 
 	c.res.Loads++
 	issue := at
-	chase := rec.DepDist > 0 && rec.DepDist <= ChaseDistMax
+	chase := rec.DepDist > 0 && rec.DepDist <= chaseDistMax
 	if chase {
 		// Address depends on the previous load of this PC.
 		if ready := c.chainGet(rec.PC); ready > issue {
@@ -341,7 +313,8 @@ func (c *Core) step(rec *trace.Record) {
 	if chase {
 		c.chainSet(rec.PC, completion)
 	}
-	// Consumer stall: the instruction DepDist later needs the data.
+	// Consumer stall: the instruction DepDist later needs the data
+	// (DepDist 0 marks a load without a consumer, which stalls nothing).
 	// The in-order core stalls for the full latency. The OOO core
 	// absorbs HideLatency cycles, and its stall contribution is clamped
 	// to StallCap: hit-class latencies leak into dispatch almost fully,
@@ -362,8 +335,8 @@ func (c *Core) step(rec *trace.Record) {
 			stallAt = issue + uint64(exposed)
 		}
 	}
-	if apply {
-		slot := (c.instr + uint64(rec.DepDist)) % StallRingSize
+	if apply && rec.DepDist > 0 {
+		slot := (c.instr + uint64(rec.DepDist)) % stallRingSize
 		if stallAt > c.stallReady[slot] {
 			c.stallReady[slot] = stallAt
 		}
@@ -378,67 +351,64 @@ func (c *Core) step(rec *trace.Record) {
 // hot loop.
 const CtxCheckInterval = 4096
 
-// Run consumes the trace to EOF (or maxRecords, if nonzero) and returns
-// the result. Errors other than io.EOF from the reader are returned.
-// Readers that implement trace.InPlaceReader (the synthetic generator
-// does) are driven through NextInto, saving a record copy and the
-// interface dispatch per record.
+// Run consumes the trace to EOF and returns the result (bound the
+// length with trace.Limit). Errors other than io.EOF from the reader
+// are returned. Readers that implement trace.InPlaceReader (the
+// synthetic generator does) are driven through NextInto, saving a
+// record copy and the interface dispatch per record.
 //
 // The context is polled every CtxCheckInterval records: a cancelled or
 // expired ctx stops the run promptly and returns ctx.Err() (wrapped
 // results so far are still valid partial state via c.Result()). A nil
 // ctx runs to completion.
-func (c *Core) Run(ctx context.Context, r trace.Reader, maxRecords uint64) (Result, error) {
+func (c *Core) Run(ctx context.Context, r trace.Reader) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	var n uint64
 	var rec trace.Record
 	if ir, ok := r.(trace.InPlaceReader); ok {
-		for maxRecords == 0 || n < maxRecords {
+		for {
 			if n&(CtxCheckInterval-1) == 0 {
 				if err := ctx.Err(); err != nil {
 					return c.Result(), err
 				}
 			}
 			if err := ir.NextInto(&rec); err != nil {
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				return c.Result(), err
+				return c.end(err)
 			}
 			c.step(&rec)
 			n++
 		}
-		return c.Result(), nil
 	}
-	for maxRecords == 0 || n < maxRecords {
+	for {
 		if n&(CtxCheckInterval-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				return c.Result(), err
 			}
 		}
 		var err error
-		rec, err = r.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return c.Result(), err
+		if rec, err = r.Next(); err != nil {
+			return c.end(err)
 		}
 		c.step(&rec)
 		n++
 	}
-	return c.Result(), nil
 }
 
-// Step exposes single-record stepping for multicore interleaving.
-func (c *Core) Step(rec trace.Record) { c.step(&rec) }
+// end finishes a run on the reader's error: io.EOF is a clean end of
+// trace, anything else a failure.
+func (c *Core) end(err error) (Result, error) {
+	if errors.Is(err, io.EOF) {
+		err = nil
+	}
+	return c.Result(), err
+}
 
-// StepPtr is Step without the record copy: the fused multi-config
-// replay loop decodes each record once and steps N cores with the same
-// pointer. The core must not retain or mutate *rec (step already obeys
-// the MemSystem contract).
+// StepPtr simulates one record, for callers that drive the core
+// themselves: the quad-core interleave and the fused sweep's lane loop.
+// The core does not retain or mutate *rec (step obeys the MemSystem
+// contract).
 //
 //sipt:hotpath
 func (c *Core) StepPtr(rec *trace.Record) { c.step(rec) }

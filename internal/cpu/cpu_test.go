@@ -50,7 +50,7 @@ func TestIPCBoundedByWidth(t *testing.T) {
 	for i := range recs {
 		recs[i] = loadRec(uint64(0x400000+i%16*4), 5, 8) // independent
 	}
-	res, err := c.Run(context.Background(), trace.NewSliceReader(recs), 0)
+	res, err := c.Run(context.Background(), trace.NewSliceReader(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestOOOHidesMostIndependentLatency(t *testing.T) {
 		for i := range recs {
 			recs[i] = loadRec(uint64(0x400000+i%16*4), 3, 10)
 		}
-		res, _ := c.Run(context.Background(), trace.NewSliceReader(recs), 0)
+		res, _ := c.Run(context.Background(), trace.NewSliceReader(recs))
 		return res.IPC()
 	}
 	fast, slow := run(2), run(4)
@@ -98,7 +98,7 @@ func TestOOOMissesKeepMLP(t *testing.T) {
 	for i := range recs {
 		recs[i] = loadRec(uint64(0x400000+i%16*4), 3, 6)
 	}
-	res, _ := c.Run(context.Background(), trace.NewSliceReader(recs), 0)
+	res, _ := c.Run(context.Background(), trace.NewSliceReader(recs))
 	serialised := 4.0 / 200.0 // 4 instructions per 200-cycle stall
 	if res.IPC() < serialised*5 {
 		t.Errorf("miss MLP destroyed: IPC %.3f", res.IPC())
@@ -115,7 +115,7 @@ func TestOOOChasePenalisedByLatency(t *testing.T) {
 		for i := range recs {
 			recs[i] = loadRec(0x400000, 2, 1) // one chasing PC
 		}
-		res, _ := c.Run(context.Background(), trace.NewSliceReader(recs), 0)
+		res, _ := c.Run(context.Background(), trace.NewSliceReader(recs))
 		return res.IPC()
 	}
 	fast, slow := run(2), run(4)
@@ -136,7 +136,7 @@ func TestROBThrottlesMLP(t *testing.T) {
 		for i := range recs {
 			recs[i] = loadRec(uint64(0x400000+i%32*4), 4, 10)
 		}
-		res, _ := c.Run(context.Background(), trace.NewSliceReader(recs), 0)
+		res, _ := c.Run(context.Background(), trace.NewSliceReader(recs))
 		return res.IPC()
 	}
 	big, small := run(192), run(8)
@@ -154,7 +154,7 @@ func TestInOrderStallsOnUse(t *testing.T) {
 		for i := range recs {
 			recs[i] = loadRec(uint64(0x400000+i%16*4), 3, 2)
 		}
-		res, _ := c.Run(context.Background(), trace.NewSliceReader(recs), 0)
+		res, _ := c.Run(context.Background(), trace.NewSliceReader(recs))
 		return res.IPC()
 	}
 	fast, slow := run(2), run(6)
@@ -169,8 +169,8 @@ func TestInOrderSlowerThanOOO(t *testing.T) {
 		recs[i] = loadRec(uint64(0x400000+i%8*4), 2, 2)
 	}
 	memA, memB := &fixedMem{lat: 4}, &fixedMem{lat: 4}
-	ooo, _ := NewCore(OOO(), memA).Run(context.Background(), trace.NewSliceReader(recs), 0)
-	ino, _ := NewCore(InOrder(), memB).Run(context.Background(), trace.NewSliceReader(recs), 0)
+	ooo, _ := NewCore(OOO(), memA).Run(context.Background(), trace.NewSliceReader(recs))
+	ino, _ := NewCore(InOrder(), memB).Run(context.Background(), trace.NewSliceReader(recs))
 	if ooo.IPC() <= ino.IPC() {
 		t.Errorf("OOO IPC %.3f <= in-order IPC %.3f", ooo.IPC(), ino.IPC())
 	}
@@ -185,7 +185,7 @@ func TestStoresDoNotStall(t *testing.T) {
 	for i := range recs {
 		recs[i] = storeRec(uint64(0x400000+i%8*4), 5)
 	}
-	res, _ := c.Run(context.Background(), trace.NewSliceReader(recs), 0)
+	res, _ := c.Run(context.Background(), trace.NewSliceReader(recs))
 	if res.IPC() < float64(OOO().Width)*0.9 {
 		t.Errorf("store stream IPC %.2f; stores must not stall the core", res.IPC())
 	}
@@ -201,7 +201,7 @@ func TestMemSeesMonotonicIssueTimes(t *testing.T) {
 	for i := range recs {
 		recs[i] = loadRec(uint64(0x400000+i%4*4), 1, 2)
 	}
-	if _, err := c.Run(context.Background(), trace.NewSliceReader(recs), 0); err != nil {
+	if _, err := c.Run(context.Background(), trace.NewSliceReader(recs)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(mem.issues); i++ {
@@ -211,6 +211,8 @@ func TestMemSeesMonotonicIssueTimes(t *testing.T) {
 	}
 }
 
+// TestRunHonoursMaxRecords: a trace.Limit-bounded reader ends the run
+// after exactly that many records.
 func TestRunHonoursMaxRecords(t *testing.T) {
 	mem := &fixedMem{lat: 1}
 	c := NewCore(OOO(), mem)
@@ -218,7 +220,7 @@ func TestRunHonoursMaxRecords(t *testing.T) {
 	for i := range recs {
 		recs[i] = loadRec(0x400000, 0, 5)
 	}
-	res, err := c.Run(context.Background(), trace.NewSliceReader(recs), 10)
+	res, err := c.Run(context.Background(), trace.Limit(trace.NewSliceReader(recs), 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +232,7 @@ func TestRunHonoursMaxRecords(t *testing.T) {
 func TestGapInstructionsCounted(t *testing.T) {
 	mem := &fixedMem{lat: 1}
 	c := NewCore(OOO(), mem)
-	res, err := c.Run(context.Background(), trace.NewSliceReader([]trace.Record{loadRec(0x400000, 9, 5)}), 0)
+	res, err := c.Run(context.Background(), trace.NewSliceReader([]trace.Record{loadRec(0x400000, 9, 5)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +258,7 @@ func TestDeterministic(t *testing.T) {
 		for i := range recs {
 			recs[i] = loadRec(uint64(0x400000+i%16*4), uint16(i%7), uint8(1+i%10))
 		}
-		res, _ := c.Run(context.Background(), trace.NewSliceReader(recs), 0)
+		res, _ := c.Run(context.Background(), trace.NewSliceReader(recs))
 		return res
 	}
 	if mk() != mk() {
@@ -285,7 +287,7 @@ func TestLatencyMonotonicity(t *testing.T) {
 			var prev uint64
 			for _, lat := range []int{1, 2, 4, 8, 30, 100} {
 				c := NewCore(cfg, &fixedMem{lat: lat})
-				res, err := c.Run(context.Background(), trace.NewSliceReader(recs), 0)
+				res, err := c.Run(context.Background(), trace.NewSliceReader(recs))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -310,8 +312,8 @@ func TestWiderCoreNeverSlower(t *testing.T) {
 	narrow.Width = 2
 	wide := OOO()
 	wide.Width = 8
-	rn, _ := NewCore(narrow, &fixedMem{lat: 3}).Run(context.Background(), trace.NewSliceReader(recs), 0)
-	rw, _ := NewCore(wide, &fixedMem{lat: 3}).Run(context.Background(), trace.NewSliceReader(recs), 0)
+	rn, _ := NewCore(narrow, &fixedMem{lat: 3}).Run(context.Background(), trace.NewSliceReader(recs))
+	rw, _ := NewCore(wide, &fixedMem{lat: 3}).Run(context.Background(), trace.NewSliceReader(recs))
 	if rw.Cycles > rn.Cycles {
 		t.Errorf("8-wide (%d cycles) slower than 2-wide (%d)", rw.Cycles, rn.Cycles)
 	}
@@ -328,7 +330,7 @@ func TestRunCancelledContext(t *testing.T) {
 	for i := range recs {
 		recs[i] = loadRec(0x400000, 0, 5)
 	}
-	res, err := c.Run(ctx, trace.NewSliceReader(recs), 0)
+	res, err := c.Run(ctx, trace.NewSliceReader(recs))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run err = %v, want context.Canceled", err)
 	}
@@ -358,7 +360,7 @@ func TestRunStopsWithinCheckInterval(t *testing.T) {
 		}
 		return base.Next()
 	})
-	res, err := c.Run(ctx, r, 0)
+	res, err := c.Run(ctx, r)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run err = %v, want context.Canceled", err)
 	}

@@ -109,25 +109,6 @@ func (a *Account) AddWayPredictedL1(n uint64) { a.wayPredicted += n }
 // predictors (perceptron read + train, IDB read + update).
 func (a *Account) AddPredictorOps(n uint64) { a.predictorOps += n }
 
-// Merge folds other's accumulated events into a; both accounts must
-// share identical parameters (it panics otherwise — merging accounts
-// of different machines has no meaning). A decoupled multicore run
-// gives each lane a private accountant, merges them in lane order, and
-// Finishes once over the longest lane's cycles, so dynamic energy sums
-// over lanes while shared static power is charged for one wall-clock
-// span — the same accounting the coupled path gets from one shared
-// accountant.
-func (a *Account) Merge(other *Account) {
-	if a.p != other.p {
-		panic("energy: merging accounts with different parameters")
-	}
-	for l := range a.accesses {
-		a.accesses[l] += other.accesses[l]
-	}
-	a.wayPredicted += other.wayPredicted
-	a.predictorOps += other.predictorOps
-}
-
 // Breakdown is the energy report in joules.
 type Breakdown struct {
 	DynamicJ   [numLevels]float64

@@ -72,15 +72,6 @@ type Options struct {
 	// Like Remote it is fixed at construction and shared by every
 	// derived view; the field in a WithOptions argument is ignored.
 	Store *store.Store
-	// ParallelMix switches quad-core mixes (Tab. III, Fig. 15) to the
-	// decoupled-lanes runner with one goroutine per core. This is a
-	// modeling change, not just a speedup: lanes stop contending for
-	// the shared LLC/DRAM/allocator (see sim.RunMixDecoupled), so mix
-	// results differ from the default coupled interleave — though they
-	// are deterministic, and bit-identical to the sequential execution
-	// of the same decoupled semantics. Off by default; the golden
-	// tables are recorded on the coupled path.
-	ParallelMix bool
 }
 
 // DefaultRecords is the harness trace length per app.
@@ -261,30 +252,14 @@ func (r *Runner) key(app string, cfg sim.Config, sc vm.Scenario) string {
 	return fmt.Sprintf("%s|%+v|%s|%d|%d", app, cfg, sc, r.opts.records(), r.opts.Seed)
 }
 
-// Run simulates (memoised) one app on one config under a scenario.
+// Run simulates (memoised) one app on one config under a scenario: a
+// one-config trip down RunConfigs' tier ladder (see replay.go).
 // Concurrent calls with the same key share a single simulation. Failed
 // runs — including ones cancelled through the runner's context — are
-// not cached: the next Run of that key retries. The simulation replays
-// the app's pooled materialised trace when available (see replay.go)
-// and streams from a live generator otherwise; both produce identical
-// stats.
+// not cached: the next Run of that key retries.
 func (r *Runner) Run(app string, cfg sim.Config, sc vm.Scenario) (sim.Stats, error) {
-	memoKey := r.key(app, cfg, sc)
-	return r.sh.cache.Do(memoKey, func() (sim.Stats, error) {
-		// Disk tier first: a result computed by a previous process is a
-		// decode, not a simulation (Simulations() stays untouched — the
-		// restart-warmth gate in store_smoke.sh asserts exactly that).
-		skey := r.resultStoreKey(r.traceDigest(app, sc), memoKey)
-		if st, ok := r.storeGet(skey); ok {
-			return st, nil
-		}
-		r.sh.sims.Add(1)
-		st, err := r.runUncached(app, cfg, sc)
-		if err == nil {
-			r.storePut(skey, st)
-		}
-		return st, err
-	})
+	return r.runOne(r.key(app, cfg, sc), r.traceDigest(app, sc), cfg,
+		func(cfgs []sim.Config) ([]sim.Stats, error) { return r.simulate(app, cfgs, sc) })
 }
 
 // forEachApp runs fn over the app list with bounded concurrency and

@@ -12,14 +12,8 @@ import (
 	"sipt/internal/workload"
 )
 
-// runMix dispatches one quad-core mix run under the runner's options:
-// the paper-faithful coupled interleave by default, the decoupled
-// one-goroutine-per-lane runner when Options.ParallelMix is set (a
-// documented modeling change — see sim.RunMixDecoupled).
+// runMix runs one quad-core mix under the runner's options.
 func (r *Runner) runMix(mix workload.Mix, cfg sim.Config) (sim.MixStats, error) {
-	if r.opts.ParallelMix {
-		return sim.RunMixDecoupled(r.Context(), mix, cfg, vm.ScenarioNormal, r.opts.Seed, r.opts.records(), true)
-	}
 	return sim.RunMix(r.Context(), mix, cfg, vm.ScenarioNormal, r.opts.Seed, r.opts.records())
 }
 

@@ -59,11 +59,12 @@ func useLive(err error) bool {
 // noteDegraded counts live-generation fallbacks that are *degradations*
 // — the pool wanted to serve the trace but could not (byte budget,
 // eviction storm) — as opposed to deliberate choices (Options.LiveGen)
-// or structural impossibility (ErrUnpackable). The daemon exposes the
-// count as serve_degraded_runs_total.
-func (r *Runner) noteDegraded(err error) {
+// or structural impossibility (ErrUnpackable). runs is how many
+// simulations or trace reads the fallback serves. The daemon exposes
+// the count as serve_degraded_runs_total.
+func (r *Runner) noteDegraded(err error, runs int) {
 	if errors.Is(err, errPoolOversize) || errors.Is(err, replay.ErrEvicted) {
-		r.sh.degraded.Add(1)
+		r.sh.degraded.Add(uint64(runs))
 	}
 }
 
@@ -81,7 +82,7 @@ func (r *Runner) traceReader(app string, sc vm.Scenario) (trace.Reader, error) {
 	if !useLive(err) {
 		return nil, err
 	}
-	r.noteDegraded(err)
+	r.noteDegraded(err, 1)
 	prof, err := workload.Lookup(app)
 	if err != nil {
 		return nil, err
@@ -90,59 +91,119 @@ func (r *Runner) traceReader(app string, sc vm.Scenario) (trace.Reader, error) {
 	return workload.NewGenerator(prof, sys, r.opts.Seed, r.opts.records())
 }
 
-// runLive is the pre-replay Run body: generate and simulate in one
-// pass.
-func (r *Runner) runLive(app string, cfg sim.Config, sc vm.Scenario) (sim.Stats, error) {
-	prof, err := workload.Lookup(app)
-	if err != nil {
-		return sim.Stats{}, err
-	}
-	st, err := sim.RunApp(r.ctx, prof, cfg, sc, r.opts.Seed, r.opts.records())
-	if err != nil {
-		return sim.Stats{}, fmt.Errorf("exp: %s on %s/%s: %w", app, cfg.Label(), sc, err)
-	}
-	return st, nil
-}
+// The runner's tier ladder, shared by Run, RunConfigs and RunTrace:
+//
+//	memo cache -> store -> remote -> fused buffer replay -> live RunApp
+//
+// RunConfigs partitions a sweep against the memo cache and Run/RunTrace
+// wrap one config in the cache's singleflight (runOne); tiered serves
+// what it can from the persistent store; simulate computes the rest.
 
-// runUncached executes one simulation, preferring replay from the
-// shared trace pool (generation paid once per app, not once per config)
-// and falling back to a live generator when materialisation is
-// unavailable. Replay reproduces the live run bit-for-bit (see
-// internal/sim TestRunBufferMatchesRunApp), so the two paths are
-// interchangeable.
-func (r *Runner) runUncached(app string, cfg sim.Config, sc vm.Scenario) (sim.Stats, error) {
-	if rem := r.sh.remote; rem != nil {
-		sts, err := rem.RunConfigs(r.Context(), app, sc, r.opts.Seed, r.opts.records(), []sim.Config{cfg})
+// runOne is the memo -> store wrapper Run and RunTrace share: one
+// config under memoKey, whose trace has content address digest,
+// computed by run on a miss in both tiers.
+func (r *Runner) runOne(memoKey, digest string, cfg sim.Config,
+	run func([]sim.Config) ([]sim.Stats, error)) (sim.Stats, error) {
+	return r.sh.cache.Do(memoKey, func() (sim.Stats, error) {
+		sts, err := r.tiered(digest, []string{memoKey}, []sim.Config{cfg}, run)
 		if err != nil {
 			return sim.Stats{}, err
 		}
-		if len(sts) != 1 {
-			return sim.Stats{}, fmt.Errorf("exp: remote returned %d stats for 1 config", len(sts))
-		}
 		return sts[0], nil
+	})
+}
+
+// tiered is the store tier: cfgs (distinct, not memoised; memoKeys[i]
+// is cfgs[i]'s memo key, digest their trace's content address) that a
+// previous process already computed decode from disk — a decode, not a
+// simulation, so Simulations() stays untouched (store_smoke.sh's
+// restart-warmth gate asserts exactly that). The rest go to run in one
+// batch, count as simulations, and are persisted. Results are
+// positional.
+func (r *Runner) tiered(digest string, memoKeys []string, cfgs []sim.Config,
+	run func([]sim.Config) ([]sim.Stats, error)) ([]sim.Stats, error) {
+	out := make([]sim.Stats, len(cfgs))
+	skeys := make([]store.Key, len(cfgs))
+	var todo []sim.Config
+	var todoAt []int
+	for i, cfg := range cfgs {
+		if r.sh.store != nil {
+			skeys[i] = r.resultStoreKey(digest, memoKeys[i])
+			if st, ok := r.storeGet(skeys[i]); ok {
+				out[i] = st
+				continue
+			}
+		}
+		todo = append(todo, cfg)
+		todoAt = append(todoAt, i)
+	}
+	if len(todo) == 0 {
+		return out, nil
+	}
+	r.sh.sims.Add(uint64(len(todo)))
+	fresh, err := run(todo)
+	if err != nil {
+		return nil, err
+	}
+	for j, st := range fresh {
+		out[todoAt[j]] = st
+		r.storePut(skeys[todoAt[j]], st)
+	}
+	return out, nil
+}
+
+// simulate computes cfgs for one app under sc on the first tier that
+// can take them: the remote fleet when one is configured (the whole
+// batch travels as one shard, so the worker's fused pass covers exactly
+// the lanes a local run would); else one fused pass over the app's
+// pooled materialised trace (generation paid once per app, not once
+// per config); else, when the trace cannot be materialised or pooled,
+// live generation per config. The tiers are interchangeable: replay
+// reproduces the live run bit for bit (internal/sim
+// TestRunBufferMatchesRunApp) and fused lanes equal solo runs.
+func (r *Runner) simulate(app string, cfgs []sim.Config, sc vm.Scenario) ([]sim.Stats, error) {
+	if rem := r.sh.remote; rem != nil {
+		sts, err := rem.RunConfigs(r.Context(), app, sc, r.opts.Seed, r.opts.records(), cfgs)
+		if err != nil {
+			return nil, err
+		}
+		if len(sts) != len(cfgs) {
+			return nil, fmt.Errorf("exp: remote returned %d stats for %d configs", len(sts), len(cfgs))
+		}
+		return sts, nil
 	}
 	buf, err := r.buffer(app, sc)
-	if err != nil {
-		if useLive(err) {
-			r.noteDegraded(err)
-			return r.runLive(app, cfg, sc)
+	if err == nil {
+		sts, err := sim.RunConfigs(r.Context(), app, buf, cfgs, r.opts.Seed)
+		if err != nil {
+			return nil, fmt.Errorf("exp: %s/%s (%d configs): %w", app, sc, len(cfgs), err)
 		}
-		return sim.Stats{}, err
+		return sts, nil
 	}
-	st, err := sim.RunBuffer(r.ctx, app, buf, cfg, r.opts.Seed)
+	if !useLive(err) {
+		return nil, err
+	}
+	r.noteDegraded(err, len(cfgs))
+	prof, err := workload.Lookup(app)
 	if err != nil {
-		return sim.Stats{}, fmt.Errorf("exp: %s on %s/%s: %w", app, cfg.Label(), sc, err)
+		return nil, err
 	}
-	return st, nil
+	sts := make([]sim.Stats, len(cfgs))
+	for i, cfg := range cfgs {
+		if sts[i], err = sim.RunApp(r.Context(), prof, cfg, sc, r.opts.Seed, r.opts.records()); err != nil {
+			return nil, fmt.Errorf("exp: %s on %s/%s: %w", app, cfg.Label(), sc, err)
+		}
+	}
+	return sts, nil
 }
 
 // RunConfigs simulates (memoised) one app across many configs under one
-// scenario, advancing all not-yet-cached configs in lockstep through a
-// single pass over the app's materialised trace (sim.RunConfigs). It
-// returns positionally: out[i] is cfgs[i]'s stats, bit-for-bit what
-// Run(app, cfgs[i], sc) returns. Figures that sweep configurations over
-// a fixed app call this instead of looping Run, turning K decode+sim
-// passes into one decode feeding K simulator states.
+// scenario. It returns positionally: out[i] is cfgs[i]'s stats,
+// bit-for-bit what Run(app, cfgs[i], sc) returns. Configs already in
+// the memo cache are peeked out first; the rest are deduplicated and go
+// down the tier ladder as one batch, so figures that sweep
+// configurations over a fixed app turn K decode+sim passes into one
+// fused pass over the app's materialised trace.
 func (r *Runner) RunConfigs(app string, cfgs []sim.Config, sc vm.Scenario) ([]sim.Stats, error) {
 	out := make([]sim.Stats, len(cfgs))
 	keys := make([]string, len(cfgs))
@@ -169,89 +230,14 @@ func (r *Runner) RunConfigs(app string, cfgs []sim.Config, sc vm.Scenario) ([]si
 	if len(uniq) == 0 {
 		return out, nil
 	}
-
-	// Second partition, against the persistent tier: results computed
-	// by a previous process fill their lanes directly; only the rest is
-	// simulated (or dispatched). A fully warm sweep never touches the
-	// trace pool, so a restarted daemon serves figures without
-	// re-materialising a single trace.
-	all := make([]sim.Stats, len(uniq))
-	var todo []sim.Config
-	var todoAt []int
-	var skeys []store.Key
-	if r.sh.store != nil {
-		digest := r.traceDigest(app, sc)
-		skeys = make([]store.Key, len(uniq))
-		for i, cfg := range uniq {
-			skeys[i] = r.resultStoreKey(digest, uniqKeys[i])
-			if st, ok := r.storeGet(skeys[i]); ok {
-				all[i] = st
-				continue
-			}
-			todo = append(todo, cfg)
-			todoAt = append(todoAt, i)
-		}
-	} else {
-		todo = uniq
-		todoAt = make([]int, len(uniq))
-		for i := range uniq {
-			todoAt[i] = i
-		}
-	}
-	if len(todo) == 0 {
-		return r.publish(out, keys, cached, uniqAt, all)
-	}
-	persist := func(fresh []sim.Stats) {
-		for j, st := range fresh {
-			all[todoAt[j]] = st
-			if skeys != nil {
-				r.storePut(skeys[todoAt[j]], st)
-			}
-		}
-	}
-
-	if rem := r.sh.remote; rem != nil {
-		// Remote dispatch: the whole uncached batch travels as one
-		// shard, so the worker's fused pass covers exactly the lanes a
-		// local run would.
-		sts, err := rem.RunConfigs(r.Context(), app, sc, r.opts.Seed, r.opts.records(), todo)
-		if err != nil {
-			return nil, err
-		}
-		if len(sts) != len(todo) {
-			return nil, fmt.Errorf("exp: remote returned %d stats for %d configs", len(sts), len(todo))
-		}
-		r.sh.sims.Add(uint64(len(todo)))
-		persist(sts)
-		return r.publish(out, keys, cached, uniqAt, all)
-	}
-
-	buf, err := r.buffer(app, sc)
+	// A fully stored sweep never touches the trace pool, so a restarted
+	// daemon serves figures without re-materialising a single trace.
+	fresh, err := r.tiered(r.traceDigest(app, sc), uniqKeys, uniq,
+		func(todo []sim.Config) ([]sim.Stats, error) { return r.simulate(app, todo, sc) })
 	if err != nil {
-		if useLive(err) {
-			r.noteDegraded(err)
-			// No materialised trace: degrade to memoised solo runs
-			// (each of which probes the store itself).
-			for i := range cfgs {
-				if cached[i] {
-					continue
-				}
-				if out[i], err = r.Run(app, cfgs[i], sc); err != nil {
-					return nil, err
-				}
-			}
-			return out, nil
-		}
 		return nil, err
 	}
-
-	fused, err := sim.RunConfigs(r.ctx, app, buf, todo, r.opts.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("exp: fused %s/%s (%d configs): %w", app, sc, len(todo), err)
-	}
-	r.sh.sims.Add(uint64(len(todo)))
-	persist(fused)
-	return r.publish(out, keys, cached, uniqAt, all)
+	return r.publish(out, keys, cached, uniqAt, fresh)
 }
 
 // publish writes a fused batch's stats through the memo cache so later

@@ -216,3 +216,26 @@ func TestRunnerCancelledRunNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDegradedBatchCountsOncePerRun: a sweep whose trace the pool
+// cannot hold degrades each of its configs to live generation exactly
+// once — K degraded runs for K simulations — and skips the pool once
+// for the whole batch.
+func TestDegradedBatchCountsOncePerRun(t *testing.T) {
+	// 20k records (320 KB) exceed one shard's slice of a 1 MiB pool.
+	r := NewRunner(Options{Records: 20_000, Seed: 1, TracePoolMB: 1})
+	cfgs := []sim.Config{
+		sim.Baseline(cpu.OOO()),
+		sim.SIPT(cpu.OOO(), 32, 2, core.ModeNaive),
+		sim.SIPT(cpu.OOO(), 32, 2, core.ModeCombined),
+	}
+	if _, err := r.RunConfigs("ycsb", cfgs, vm.ScenarioNormal); err != nil {
+		t.Fatal(err)
+	}
+	if sims, deg := r.Simulations(), r.DegradedRuns(); sims != 3 || deg != 3 {
+		t.Errorf("Simulations = %d, DegradedRuns = %d; want 3 and 3", sims, deg)
+	}
+	if n := r.TraceStats().Oversize; n != 1 {
+		t.Errorf("pool oversize skips = %d, want 1 (one per batch)", n)
+	}
+}

@@ -143,17 +143,11 @@ func (r *Runner) StoreStats() (store.Stats, bool) {
 // stats (Stats.App) and reports.
 func (r *Runner) RunTrace(digest, name string, buf *replay.Buffer, cfg sim.Config) (sim.Stats, error) {
 	memoKey := fmt.Sprintf("trace:%s|%s|%+v|%d", digest, name, cfg, r.opts.Seed)
-	return r.sh.cache.Do(memoKey, func() (sim.Stats, error) {
-		skey := r.resultStoreKey(digest, memoKey)
-		if st, ok := r.storeGet(skey); ok {
-			return st, nil
-		}
-		r.sh.sims.Add(1)
-		st, err := sim.RunBuffer(r.Context(), name, buf, cfg, r.opts.Seed)
+	return r.runOne(memoKey, digest, cfg, func(cfgs []sim.Config) ([]sim.Stats, error) {
+		sts, err := sim.RunConfigs(r.Context(), name, buf, cfgs, r.opts.Seed)
 		if err != nil {
-			return sim.Stats{}, fmt.Errorf("exp: replaying trace %.12s on %s: %w", digest, cfg.Label(), err)
+			return nil, fmt.Errorf("exp: replaying trace %.12s on %s: %w", digest, cfg.Label(), err)
 		}
-		r.storePut(skey, st)
-		return st, nil
+		return sts, nil
 	})
 }

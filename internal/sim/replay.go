@@ -34,24 +34,24 @@ func Materialize(prof workload.Profile, sc vm.Scenario, seed int64, records uint
 }
 
 // RunBuffer is the replay-aware RunApp: it simulates one configuration
-// streaming from a materialised buffer instead of a live generator.
-// Context semantics match RunApp.
+// streaming from a materialised buffer instead of a live generator — a
+// one-lane RunConfigs. Context semantics match RunApp.
 func RunBuffer(ctx context.Context, name string, buf *replay.Buffer, cfg Config, seed int64) (Stats, error) {
-	if err := cfg.Validate(); err != nil {
+	out, err := RunConfigs(ctx, name, buf, []Config{cfg}, seed)
+	if err != nil {
 		return Stats{}, err
 	}
-	return runReader(ctx, name, buf.Cursor(), cfg, seed, 0)
+	return out[0], nil
 }
 
 // RunConfigs advances len(cfgs) independent simulated systems over one
-// materialised trace through the structure-of-arrays sweep kernel (see
+// materialised trace through the structure-of-arrays sweep (see
 // soa.go): every lane's machine state is carved from contiguous
-// same-field slabs and each lane makes one register-resident pass over
-// the packed words. Each configuration gets the full private machinery
-// of a solo run (per-config LLC and DRAM — these are single-core
-// systems that share nothing), so RunConfigs(buf, cfgs) returns exactly
-// what looping RunBuffer over cfgs would, for a fraction of the decode
-// and none of the re-generation cost.
+// same-field slabs and each lane makes one pass over the packed words.
+// Each configuration gets the full private machinery of a solo run
+// (per-config LLC and DRAM — these are single-core systems that share
+// nothing), so RunConfigs(buf, cfgs) returns exactly what looping
+// RunBuffer over cfgs would, for none of the re-generation cost.
 //
 // Context semantics match RunApp: each lane's pass polls ctx every
 // cpu.CtxCheckInterval records. Results are positional: out[i]
@@ -66,47 +66,17 @@ func RunConfigs(ctx context.Context, name string, buf *replay.Buffer, cfgs []Con
 		return nil, err
 	}
 	words := buf.Words()
-	for lane := range cfgs {
-		if err := s.runLane(ctx, lane, words); err != nil {
+	out := make([]Stats, len(cfgs))
+	for lane, cfg := range cfgs {
+		res, err := s.runLane(ctx, lane, words)
+		if err != nil {
 			return nil, fmt.Errorf("sim: fused run of %s (%d configs): %w", name, len(cfgs), err)
 		}
-	}
-
-	out := make([]Stats, len(cfgs))
-	for i, cfg := range cfgs {
-		// Sweep-scaled like the setup loop: poll per config.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		st := collect(cfg, name, s.results[i], &s.hs[i], &s.accts[i])
+		st := collect(cfg, name, res, &s.hs[lane], &s.accts[lane])
 		if err := st.CheckInvariants(); err != nil {
 			return nil, fmt.Errorf("sim: fused run of %s on %s: %w", name, cfg.Label(), err)
 		}
-		out[i] = st
+		out[lane] = st
 	}
 	return out, nil
-}
-
-// RunMixBuffers is the replay-aware RunMix: a quad-core run whose lanes
-// stream from materialised buffers instead of live generators. A lane
-// that finishes its first pass recycles by rewinding its cursor — the
-// identical records again, i.e. "same program, same mapping" — whereas
-// live RunMix rebuilds the address space per pass and its lanes couple
-// through the shared buddy allocator (churn in one lane shifts frames
-// another lane draws). The two are therefore distinct, individually
-// deterministic modes; the experiment harness keeps mixes on the live
-// path (see DESIGN.md §9).
-func RunMixBuffers(ctx context.Context, mix workload.Mix, cfg Config, bufs [4]*replay.Buffer, seed int64) (MixStats, error) {
-	cfg.Cores = 4
-	if err := cfg.Validate(); err != nil {
-		return MixStats{}, err
-	}
-	var srcs [4]mixSource
-	for i, b := range bufs {
-		if b == nil {
-			return MixStats{}, fmt.Errorf("sim: mix %s: nil buffer for lane %d", mix.Name, i)
-		}
-		srcs[i] = b.Cursor()
-	}
-	return runMixLanes(ctx, mix, cfg, srcs, seed)
 }

@@ -2,13 +2,12 @@ package sim
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"sipt/internal/core"
 	"sipt/internal/cpu"
-	"sipt/internal/replay"
 	"sipt/internal/vm"
-	"sipt/internal/workload"
 )
 
 // TestRunBufferMatchesRunApp is the replay-path determinism contract:
@@ -88,48 +87,56 @@ func TestRunConfigsCancellation(t *testing.T) {
 	}
 }
 
-// TestRunMixBuffersDeterministic asserts the buffered quad-core mode is
-// reproducible and structurally sound. (It is a distinct mode from live
-// RunMix — cursor recycling replays identical records, while live lanes
-// rebuild their address space per pass — so no cross-mode equality is
-// asserted; see DESIGN.md §9.)
-func TestRunMixBuffersDeterministic(t *testing.T) {
-	mix := workload.Mixes()[0]
-	cfg := SIPT(cpu.OOO(), 32, 2, core.ModeCombined)
-	const recs = 5_000
-
-	run := func() MixStats {
-		profs := make([]workload.Profile, 4)
-		for i, name := range mix.Apps {
-			profs[i] = smallProf(t, name, 2)
+// TestRunConfigsRandomizedMatchesSolo is the fused sweep's property
+// test: for randomized config sets — 1..16 lanes drawn with
+// replacement, so duplicates occur — the fused sweep must return,
+// positionally, the byte-for-byte result of a solo RunBuffer replay of
+// each lane.
+func TestRunConfigsRandomizedMatchesSolo(t *testing.T) {
+	prof := smallProf(t, "ycsb", 2)
+	const recs = 8_000
+	buf, err := Materialize(prof, vm.ScenarioNormal, 5, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := []Config{
+		Baseline(cpu.OOO()),
+		Baseline(cpu.InOrder()),
+		SIPT(cpu.OOO(), 32, 2, core.ModeNaive),
+		SIPT(cpu.OOO(), 32, 2, core.ModeIdeal),
+		SIPT(cpu.OOO(), 32, 2, core.ModeBypass),
+		SIPT(cpu.OOO(), 32, 2, core.ModeCombined),
+		SIPT(cpu.OOO(), 64, 4, core.ModeCombined),
+		SIPT(cpu.OOO(), 128, 4, core.ModeCombined),
+		SIPT(cpu.InOrder(), 64, 4, core.ModeNaive),
+	}
+	rng := rand.New(rand.NewSource(99))
+	solo := make(map[int]Stats) // pool index -> stats, computed once
+	for trial := 0; trial < 4; trial++ {
+		n := 1 + rng.Intn(16)
+		cfgs := make([]Config, n)
+		picks := make([]int, n)
+		for i := range cfgs {
+			picks[i] = rng.Intn(len(pool))
+			cfgs[i] = pool[picks[i]]
 		}
-		sys := NewSystem(vm.ScenarioNormal, 11, profs...)
-		var bufs [4]*replay.Buffer
-		for i := range profs {
-			gen, err := workload.NewGenerator(profs[i], sys, 11+int64(i), recs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf, err := replay.FromReader(gen, recs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bufs[i] = buf
-		}
-		ms, err := RunMixBuffers(context.Background(), mix, cfg, bufs, 11)
+		fused, err := RunConfigs(context.Background(), prof.Name, buf, cfgs, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ms
-	}
-
-	a, b2 := run(), run()
-	if a.SumIPC() != b2.SumIPC() || a.Cycles != b2.Cycles || a.Consumed != b2.Consumed {
-		t.Errorf("RunMixBuffers not deterministic:\n%+v\n%+v", a, b2)
-	}
-	for i := range a.PerCore {
-		if a.PerCore[i].Core.Instructions == 0 {
-			t.Errorf("core %d executed nothing", i)
+		for i, pi := range picks {
+			want, ok := solo[pi]
+			if !ok {
+				want, err = RunBuffer(context.Background(), prof.Name, buf, pool[pi], 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				solo[pi] = want
+			}
+			if fused[i] != want {
+				t.Errorf("trial %d lane %d (%s): fused differs from solo\nfused: %+v\nsolo:  %+v",
+					trial, i, cfgs[i].Label(), fused[i], want)
+			}
 		}
 	}
 }

@@ -96,7 +96,7 @@ func RunApp(ctx context.Context, prof workload.Profile, cfg Config, sc vm.Scenar
 	if err != nil {
 		return Stats{}, err
 	}
-	return runReader(ctx, prof.Name, gen, cfg, seed, 0)
+	return runReader(ctx, prof.Name, gen, cfg, seed)
 }
 
 // RunTrace simulates a pre-materialised trace (used by tools replaying
@@ -105,18 +105,18 @@ func RunTrace(ctx context.Context, name string, r trace.Reader, cfg Config, seed
 	if err := cfg.Validate(); err != nil {
 		return Stats{}, err
 	}
-	return runReader(ctx, name, r, cfg, seed, 0)
+	return runReader(ctx, name, r, cfg, seed)
 }
 
 // runReader wires up one single-core system and drains the reader.
-func runReader(ctx context.Context, name string, r trace.Reader, cfg Config, seed int64, maxRecords uint64) (Stats, error) {
+func runReader(ctx context.Context, name string, r trace.Reader, cfg Config, seed int64) (Stats, error) {
 	acct := energy.New(cfg.energyParams())
 	llc := newSharedLLC(cfg.llcConfig())
 	mem := dram.New(dramConfig())
 	h := newHierarchy(cfg, seed, llc, mem, acct)
 	c := cpu.NewCore(cfg.Core, h)
 
-	res, err := c.Run(ctx, r, maxRecords)
+	res, err := c.Run(ctx, r)
 	if err != nil {
 		return Stats{}, fmt.Errorf("sim: running %s on %s: %w", name, cfg.Label(), err)
 	}
@@ -211,37 +211,20 @@ func RunMix(ctx context.Context, mix workload.Mix, cfg Config, sc vm.Scenario, s
 	}
 	sys := NewSystem(sc, seed, profs...)
 
-	var srcs [4]mixSource
-	for i := range srcs {
+	var gens [4]*workload.Generator
+	for i := range gens {
 		gen, err := workload.NewGenerator(profs[i], sys, seed+int64(i), recordsPerCore)
 		if err != nil {
 			return MixStats{}, err
 		}
-		srcs[i] = gen
-	}
-	return runMixLanes(ctx, mix, cfg, srcs, seed)
-}
-
-// mixSource is a lane's record stream: a live workload.Generator (the
-// paper-faithful RunMix path) or a replay.Cursor (RunMixBuffers). EOF
-// marks the end of one pass; Reset starts the next (recycling).
-type mixSource interface {
-	trace.InPlaceReader
-	trace.Resetter
-}
-
-// runMixLanes is the shared quad-core interleave loop behind RunMix and
-// RunMixBuffers.
-func runMixLanes(ctx context.Context, mix workload.Mix, cfg Config, srcs [4]mixSource, seed int64) (MixStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
+		gens[i] = gen
 	}
 	acct := energy.New(cfg.energyParams())
 	llc := newSharedLLC(cfg.llcConfig())
 	mem := dram.New(dramConfig())
 
 	type lane struct {
-		src      mixSource
+		gen      *workload.Generator
 		h        *Hierarchy
 		core     *cpu.Core
 		consumed uint64
@@ -251,7 +234,7 @@ func runMixLanes(ctx context.Context, mix workload.Mix, cfg Config, srcs [4]mixS
 	lanes := make([]*lane, 4)
 	for i := range lanes {
 		h := newHierarchy(cfg, seed+int64(i), llc, mem, acct)
-		lanes[i] = &lane{src: srcs[i], h: h, core: cpu.NewCore(cfg.Core, h)}
+		lanes[i] = &lane{gen: gens[i], h: h, core: cpu.NewCore(cfg.Core, h)}
 	}
 
 	// Interleave: always step the core that is earliest in simulated
@@ -279,7 +262,7 @@ func runMixLanes(ctx context.Context, mix workload.Mix, cfg Config, srcs [4]mixS
 			}
 		}
 		l := lanes[li]
-		err := l.src.NextInto(&rec)
+		err := l.gen.NextInto(&rec)
 		if errors.Is(err, io.EOF) {
 			if !l.done {
 				// First pass complete: snapshot this core's result.
@@ -290,10 +273,9 @@ func runMixLanes(ctx context.Context, mix workload.Mix, cfg Config, srcs [4]mixS
 					break
 				}
 			}
-			// Recycle and keep stepping: a generator restarts (same
-			// program, fresh mapping, as rerunning the binary would); a
-			// replay cursor rewinds to the identical records.
-			l.src.Reset()
+			// Recycle and keep stepping: the generator restarts (same
+			// program, fresh mapping, as rerunning the binary would).
+			l.gen.Reset()
 			continue
 		}
 		if err != nil {

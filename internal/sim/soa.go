@@ -1,26 +1,19 @@
-// Structure-of-arrays fused-sweep kernel.
+// Structure-of-arrays fused-sweep state.
 //
 // RunConfigs drives N independent single-core systems over one decoded
-// trace. The AoS implementation (one cfgState per lane, each a separate
-// heap of cache/TLB/predictor objects, stepped record-major through
-// cpu.Core.StepPtr) pays, per record, N interface dispatches plus a
-// walk across N unrelated heaps. The kernel below replaces it:
+// trace. Rather than N separate heaps of cache/TLB/predictor objects,
+// all lanes' hot machine state is carved from contiguous same-field
+// slabs indexed by config lane: cache line metadata and MRU
+// way-predictor state (cache.Arena), TLB entries (tlb.Arena),
+// perceptron weight tables ([]predictor.Perceptron), and the
+// hierarchy/engine/stats headers ([]Hierarchy, []core.L1, ...).
 //
-//   - All lanes' hot state is carved from contiguous same-field slabs
-//     indexed by config lane: cache line metadata and MRU way-predictor
-//     state (cache.Arena), TLB entries (tlb.Arena), perceptron weight
-//     tables ([]predictor.Perceptron), hierarchy/engine/stats headers
-//     ([]Hierarchy, []core.L1, ...), and the core timing rings (one
-//     retire-ring slab, one stall-ring slab, one chase-chain slab with
-//     fixed per-lane strides).
-//   - The sweep runs lane-major: each lane makes one whole-trace pass
-//     with the core's timing scalars (dispatch cycle, retire ring
-//     index, instruction count, ...) held in registers and records
-//     decoded inline from the buffer's packed words — no per-record
-//     reader or MemSystem interface dispatch, and the lane's slab
-//     segment stays hot in the host cache for the entire pass.
+// The sweep runs lane-major: each lane makes one whole-trace pass,
+// decoding records inline from the buffer's packed words and stepping
+// a cpu.Core (the one core timing model) over its own hierarchy, so
+// the lane's slab segment stays hot in the host cache for the pass.
 //
-// Lane-major order is bit-identical to the old record-major interleave
+// Lane-major order is bit-identical to a record-major interleave
 // because fused lanes share nothing: each lane owns its LLC, DRAM and
 // energy account (they model independent single-core systems), so its
 // state evolution depends only on the record stream and its own
@@ -43,8 +36,7 @@ import (
 )
 
 // soaSweep is the slab-backed machine state of one fused sweep. Slices
-// are lane-indexed unless noted; the ring/stall/chain slabs hold every
-// lane's segment back to back.
+// are lane-indexed unless noted.
 type soaSweep struct {
 	cfgs []Config
 
@@ -57,15 +49,6 @@ type soaSweep struct {
 	l1Caches  []cache.Cache
 	llcCaches []cache.Cache
 	l2s       []cache.Cache // one per three-level lane, in lane order
-
-	// Core timing state, SoA: lane i's retire ring is
-	// ring[ringOff[i]:ringOff[i+1]] (stride = that lane's ROB size); the
-	// stall and chase-chain slabs use fixed strides.
-	ring    []uint64
-	ringOff []int
-	stall   []uint64 // cpu.StallRingSize per lane
-	chain   []uint64 // cpu.ChainDenseSlots per lane
-	results []cpu.Result
 }
 
 // newSoaSweep builds every lane's machinery over shared slabs. It polls
@@ -78,7 +61,7 @@ func newSoaSweep(ctx context.Context, cfgs []Config, seed int64) (*soaSweep, err
 	// First pass: validate, size the slabs.
 	l1Cfgs := make([]core.Config, n)
 	arenaCfgs := make([]cache.Config, 0, 3*n)
-	nL2, nPerc, ringLen := 0, 0, 0
+	nL2, nPerc := 0, 0
 	for i, cfg := range cfgs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -96,7 +79,6 @@ func newSoaSweep(ctx context.Context, cfgs []Config, seed int64) (*soaSweep, err
 		if core.NeedsBypass(cfg.Mode) {
 			nPerc++
 		}
-		ringLen += cfg.Core.ROB
 	}
 
 	arena := cache.NewArena(arenaCfgs...)
@@ -111,14 +93,9 @@ func newSoaSweep(ctx context.Context, cfgs []Config, seed int64) (*soaSweep, err
 	s.l1Caches = make([]cache.Cache, n)
 	s.llcCaches = make([]cache.Cache, n)
 	s.l2s = make([]cache.Cache, nL2)
-	s.ring = make([]uint64, ringLen)
-	s.ringOff = make([]int, n+1)
-	s.stall = make([]uint64, n*cpu.StallRingSize)
-	s.chain = make([]uint64, n*cpu.ChainDenseSlots)
-	s.results = make([]cpu.Result, n)
 
 	// Second pass: carve, in lane order.
-	l2i, pi, ro := 0, 0, 0
+	l2i, pi := 0, 0
 	for i, cfg := range cfgs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -156,194 +133,27 @@ func newSoaSweep(ctx context.Context, cfgs []Config, seed int64) (*soaSweep, err
 			acct:   &s.accts[i],
 			predOn: core.NeedsBypass(cfg.Mode),
 		}
-		s.ringOff[i] = ro
-		ro += cfg.Core.ROB
 	}
-	s.ringOff[n] = ro
 	return s, nil
 }
 
-// runLane makes one lane's whole-trace pass: cpu.Core's step/gapRun/
-// dispatchOne/retire semantics replicated instruction for instruction,
-// with the timing scalars in locals for the entire pass, the rings in
-// this lane's slab segments, and records decoded inline from the packed
-// words. The memory system is the concrete *Hierarchy — no interface
-// dispatch.
+// runLane makes one lane's whole-trace pass: each packed record is
+// decoded in place and stepped through a cpu.Core over the lane's
+// hierarchy, which is the concrete *Hierarchy carved from the slabs.
 //
 //sipt:hotpath
-func (s *soaSweep) runLane(ctx context.Context, lane int, words []uint64) error {
-	ccfg := s.cfgs[lane].Core
-	h := &s.hs[lane]
-	ring := s.ring[s.ringOff[lane]:s.ringOff[lane+1]]
-	stall := s.stall[lane*cpu.StallRingSize : (lane+1)*cpu.StallRingSize]
-	chain := s.chain[lane*cpu.ChainDenseSlots : (lane+1)*cpu.ChainDenseSlots]
-	// chainMap is the cold fallback for PCs outside the dense synthetic
-	// window; packed traces rarely reach it (their PCs fit 18 bits).
-	var chainMap map[uint64]uint64
-
-	width, rob := ccfg.Width, ccfg.ROB
-	inOrder, hide, stallCap := ccfg.InOrder, ccfg.HideLatency, ccfg.StallCap
-	stallOn := inOrder || stallCap > 0
-
-	var d, r, ins uint64 // dispatch cycle, last retire cycle, instruction index
-	var u, ri int        // dispatch slots used this cycle, retire-ring index
-	var loads, stores uint64
+func (s *soaSweep) runLane(ctx context.Context, lane int, words []uint64) (cpu.Result, error) {
+	c := cpu.NewCore(s.cfgs[lane].Core, &s.hs[lane])
 	var rec trace.Record
-	var n uint64
-	for w := 0; w+1 < len(words); w += 2 {
+	for w, n := 0, 0; w+1 < len(words); w, n = w+2, n+1 {
 		if n&(cpu.CtxCheckInterval-1) == 0 {
 			// Raw ctx.Err(), wrapped by RunConfigs outside the hot path.
 			if err := ctx.Err(); err != nil {
-				return err
+				return cpu.Result{}, err
 			}
 		}
-		n++
 		replay.UnpackRecord(words[w], words[w+1], &rec)
-
-		// Non-memory gap instructions: unit latency (cpu.Core.gapRun).
-		//siptlint:allow ctxflow: gap burst is uint16-bounded; the enclosing record loop polls every CtxCheckInterval
-		for g := uint16(0); g < rec.Gap; g++ {
-			if floor := ring[ri]; floor > d {
-				d = floor
-				u = 0
-			}
-			if stallOn {
-				slot := ins % cpu.StallRingSize
-				if ready := stall[slot]; ready != 0 {
-					if ready > d {
-						d = ready
-						u = 0
-					}
-					stall[slot] = 0
-				}
-			}
-			at := d
-			u++
-			if u >= width {
-				d++
-				u = 0
-			}
-			completion := at + 1
-			if completion < r {
-				completion = r
-			}
-			ring[ri] = completion
-			ri++
-			if ri == rob {
-				ri = 0
-			}
-			r = completion
-			ins++
-		}
-
-		// The memory access itself (cpu.Core.step): dispatch...
-		if floor := ring[ri]; floor > d {
-			d = floor
-			u = 0
-		}
-		if stallOn {
-			slot := ins % cpu.StallRingSize
-			if ready := stall[slot]; ready != 0 {
-				if ready > d {
-					d = ready
-					u = 0
-				}
-				stall[slot] = 0
-			}
-		}
-		at := d
-		u++
-		if u >= width {
-			d++
-			u = 0
-		}
-
-		if rec.IsStore() {
-			// Stores retire from a write buffer: unit latency for the
-			// core; the hierarchy still sees the access now.
-			stores++
-			h.Access(&rec, at)
-			completion := at + 1
-			if completion < r {
-				completion = r
-			}
-			ring[ri] = completion
-			ri++
-			if ri == rob {
-				ri = 0
-			}
-			r = completion
-			ins++
-			continue
-		}
-
-		loads++
-		issue := at
-		chase := rec.DepDist > 0 && rec.DepDist <= cpu.ChaseDistMax
-		if chase {
-			// Address depends on the previous load of this PC.
-			var ready uint64
-			if idx := (rec.PC - cpu.ChainBase) >> 2; idx < cpu.ChainDenseSlots {
-				ready = chain[idx]
-			} else {
-				//siptlint:allow hotalloc: cold fallback, reached only by traces with PCs outside the dense window
-				ready = chainMap[rec.PC]
-			}
-			if ready > issue {
-				issue = ready
-			}
-		}
-		mr := h.Access(&rec, issue)
-		completion := issue + uint64(mr.Latency)
-		if chase {
-			if idx := (rec.PC - cpu.ChainBase) >> 2; idx < cpu.ChainDenseSlots {
-				chain[idx] = completion
-			} else {
-				if chainMap == nil {
-					//siptlint:allow hotalloc: cold fallback, reached only by traces with PCs outside the dense window
-					chainMap = make(map[uint64]uint64)
-				}
-				//siptlint:allow hotalloc: cold fallback, reached only by traces with PCs outside the dense window
-				chainMap[rec.PC] = completion
-			}
-		}
-
-		// Consumer stall (see cpu.Core.step for the policy rationale).
-		stallAt := completion
-		apply := inOrder
-		if !apply && stallCap > 0 {
-			apply = true
-			exposed := mr.Latency
-			if exposed > stallCap {
-				exposed = stallCap
-			}
-			exposed -= hide
-			if exposed <= 0 {
-				apply = false
-			} else {
-				stallAt = issue + uint64(exposed)
-			}
-		}
-		if apply {
-			slot := (ins + uint64(rec.DepDist)) % cpu.StallRingSize
-			if stallAt > stall[slot] {
-				stall[slot] = stallAt
-			}
-		}
-		if completion < r {
-			completion = r
-		}
-		ring[ri] = completion
-		ri++
-		if ri == rob {
-			ri = 0
-		}
-		r = completion
-		ins++
+		c.StepPtr(&rec)
 	}
-
-	// ins counts every retired instruction, exactly like cpu.Core's
-	// res.Instructions; the final retire cycle is the lane's cycle count.
-	s.results[lane] = cpu.Result{Instructions: ins, Cycles: r, Loads: loads, Stores: stores}
-	return nil
+	return c.Result(), nil
 }

@@ -14,11 +14,13 @@ tmpdir=$(mktemp -d)
 daemon="$tmpdir/siptd"
 outlog="$tmpdir/siptd.log"
 
-# fig6 over two apps is 3 configs x 2 apps = 6 lanes; the record count
-# keeps a single worker busy long enough to land a SIGKILL between the
-# first checkpoint and the last lane.
-sweep_body='{"experiment":"fig6","apps":["mcf","libquantum"],"records":500000}'
-total_lanes=6
+# fig6 over three apps is 3 configs x 3 apps = 9 lanes. The runner
+# sweeps at most one app per host CPU at a time and checkpoints an app's
+# lanes when its batch ends, so on a host with fewer than three CPUs a
+# whole app's batch still runs after the first checkpoint; with more
+# CPUs the SIGKILL window is the spread between the apps' batch times.
+sweep_body='{"experiment":"fig6","apps":["mcf","libquantum","gcc"],"records":500000}'
+total_lanes=9
 
 cleanup() {
     # Belt and braces: kill a daemon that outlived the test.
@@ -110,7 +112,7 @@ if [ "$id" != job-1 ]; then
 fi
 # Wait for at least one lane checkpoint while the sweep is still
 # running, then pull the plug. store_puts_total counts lane blobs plus
-# at most one materialised trace per app (2 here), so >= 3 puts
+# at most one materialised trace per app (3 here), so >= 4 puts
 # guarantees at least one lane reached the store.
 killed=''
 i=0
@@ -121,7 +123,7 @@ while [ $i -lt 1200 ]; do
         echo 'crash-smoke: sweep finished before the kill window; raise records in sweep_body' >&2
         exit 1
     fi
-    if [ "${puts:-0}" -ge 3 ]; then
+    if [ "${puts:-0}" -ge 4 ]; then
         kill -KILL "$pid"
         wait "$pid" 2>/dev/null || true
         killed=yes
