@@ -39,9 +39,12 @@ verify:
 	scripts/verify.sh
 
 # Benchmark harness tests (bench/siptperf is its own module; see its
-# README.md for running workloads and same-host A/B comparisons).
+# README.md for running workloads and same-host A/B comparisons), plus
+# one iteration of every Go benchmark in this module so a benchmark
+# that fails is caught rather than only compiled.
 bench:
 	cd bench/siptperf && $(GO) test ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Service smoke: boot siptd on an ephemeral port, drive a run and a
 # sweep through the HTTP API, then SIGTERM and require a clean drain.

@@ -295,7 +295,7 @@ func benchBuffer(b *testing.B, app string) *replay.Buffer {
 }
 
 // BenchmarkReplayDecode measures the packed-record decode loop alone:
-// the per-record cost every fused lane shares.
+// the per-record cost every replayed run pays.
 func BenchmarkReplayDecode(b *testing.B) {
 	buf := benchBuffer(b, "gcc")
 	cur := buf.Cursor()
@@ -328,9 +328,9 @@ func BenchmarkReplayRun(b *testing.B) {
 	}
 }
 
-// BenchmarkFusedSweep4 advances four configs in lockstep through one
-// decode pass; compare ns/op against 4x BenchmarkReplayRun to see the
-// fusion win.
+// BenchmarkFusedSweep4 runs four configs over one materialised buffer
+// through sim.RunConfigs. Each lane is a solo replay, so ns/op should
+// track 4x BenchmarkReplayRun; a gap is sweep overhead.
 func BenchmarkFusedSweep4(b *testing.B) {
 	buf := benchBuffer(b, "h264ref")
 	cfgs := []sim.Config{

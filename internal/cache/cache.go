@@ -31,6 +31,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache %s: ways = %d", c.Name, c.Ways)
 	case c.LineBytes == 0 || !memaddr.IsPow2(c.LineBytes):
 		return fmt.Errorf("cache %s: line %d not a power of two", c.Name, c.LineBytes)
+	case c.LineBytes < 2:
+		// Tags are PA>>lineBits; with no offset bit they reach bit 63,
+		// which the tag store reserves for its valid flag (tagValid).
+		return fmt.Errorf("cache %s: line %d below 2 bytes", c.Name, c.LineBytes)
 	case c.SizeBytes%(uint64(c.Ways)*c.LineBytes) != 0:
 		return fmt.Errorf("cache %s: size %d not divisible by ways*line", c.Name, c.SizeBytes)
 	case !memaddr.IsPow2(c.SizeBytes / (uint64(c.Ways) * c.LineBytes)):
@@ -70,7 +74,8 @@ func (c Config) SpecBits() uint {
 // The valid flag is folded into the tag's high bit (tagValid): a
 // stored tag is realTag|tagValid, an empty slot is 0. Lookups compare
 // against key|tagValid, so invalid slots can never match (real tags
-// are PA>>lineBits < 2^58) and the scan needs no separate valid load.
+// are PA>>lineBits < 2^63, because Validate requires LineBytes >= 2)
+// and the scan needs no separate valid load.
 // Invalid slots keep stamp 0, preserving the AoS victim-scan order.
 const tagValid = 1 << 63
 

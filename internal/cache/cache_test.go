@@ -23,10 +23,32 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "d", SizeBytes: 32 << 10, Ways: 8, LineBytes: 48},
 		{Name: "e", SizeBytes: 32 << 10, Ways: 3, LineBytes: 64},
 		{Name: "f", SizeBytes: 32 << 10, Ways: 8, LineBytes: 64, LatencyCycles: -1},
+		{Name: "g", SizeBytes: 64, Ways: 64, LineBytes: 1}, // tags would reach bit 63
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: invalid config accepted", c.Name)
+		}
+	}
+}
+
+// TestNoTagAliasAtBit63 checks that, for every line size Validate
+// accepts, a line whose PA has bit 63 set never answers a lookup for
+// the same PA with bit 63 clear: the stored tag's valid bit must not
+// collide with a real tag bit.
+func TestNoTagAliasAtBit63(t *testing.T) {
+	for line := uint64(1); line <= 64; line *= 2 {
+		cfg := Config{Name: "alias", SizeBytes: 64 * line, Ways: 64, LineBytes: line}
+		if cfg.Validate() != nil {
+			continue
+		}
+		c := New(cfg)
+		c.Fill(memaddr.PAddr(1<<63|0x40), false)
+		if c.Access(memaddr.PAddr(0x40), false).Hit {
+			t.Errorf("line %d B: PA 0x40 hits the line filled for 1<<63|0x40", line)
+		}
+		if c.Probe(memaddr.PAddr(0x40)) {
+			t.Errorf("line %d B: Probe(0x40) finds the line filled for 1<<63|0x40", line)
 		}
 	}
 }

@@ -225,48 +225,21 @@ func New(cfg Config) *L1 {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	l := &L1{}
-	c := cache.New(cfg.Cache)
-	var bypass *predictor.Perceptron
+	l := &L1{cfg: cfg, cache: cache.New(cfg.Cache), specBits: cfg.Cache.SpecBits()}
 	if NeedsBypass(cfg.Mode) {
-		bypass = predictor.NewPerceptron()
+		l.bypass = predictor.NewPerceptron()
 	}
-	var idb *predictor.IDB
-	if NeedsIDB(cfg.Mode, cfg.Cache.SpecBits()) {
-		idb = predictor.NewIDB(cfg.Cache.SpecBits(), cfg.NoContig, cfg.Seed)
+	// Combined mode with a single speculative bit uses the reversed
+	// prediction instead of an IDB.
+	if cfg.Mode == ModeCombined && l.specBits > 1 {
+		l.idb = predictor.NewIDB(l.specBits, cfg.NoContig, cfg.Seed)
 	}
-	return l.InitOver(cfg, c, bypass, idb)
+	return l
 }
 
 // NeedsBypass reports whether the mode carries a perceptron bypass
 // predictor.
 func NeedsBypass(m Mode) bool { return m == ModeBypass || m == ModeCombined }
-
-// NeedsIDB reports whether the mode/geometry pair carries an index
-// delta buffer (combined mode with more than one speculative bit; a
-// single bit uses the reversed prediction instead).
-func NeedsIDB(m Mode, specBits uint) bool { return m == ModeCombined && specBits > 1 }
-
-// InitOver builds the engine in place over caller-provided components,
-// so a fused sweep can back many engines' caches and predictors with
-// contiguous slabs (cache.Arena, a []predictor.Perceptron slab). The
-// components must match what New would build: c configured as
-// cfg.Cache, bypass non-nil exactly when NeedsBypass, idb non-nil
-// exactly when NeedsIDB — it panics otherwise, and on invalid cfg.
-func (l *L1) InitOver(cfg Config, c *cache.Cache, bypass *predictor.Perceptron, idb *predictor.IDB) *L1 {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	specBits := cfg.Cache.SpecBits()
-	if (bypass != nil) != NeedsBypass(cfg.Mode) {
-		panic("core: bypass predictor presence does not match the mode")
-	}
-	if (idb != nil) != NeedsIDB(cfg.Mode, specBits) {
-		panic("core: IDB presence does not match the mode/geometry")
-	}
-	*l = L1{cfg: cfg, cache: c, specBits: specBits, bypass: bypass, idb: idb}
-	return l
-}
 
 // Config returns the engine configuration.
 func (l *L1) Config() Config { return l.cfg }

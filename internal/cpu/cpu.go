@@ -361,6 +361,8 @@ const CtxCheckInterval = 4096
 // expired ctx stops the run promptly and returns ctx.Err() (wrapped
 // results so far are still valid partial state via c.Result()). A nil
 // ctx runs to completion.
+//
+//sipt:hotpath
 func (c *Core) Run(ctx context.Context, r trace.Reader) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -25,7 +25,7 @@ func renderAll(t *testing.T, e Experiment, r *Runner) string {
 
 // TestFusedMatchesLegacy is the replay engine's end-to-end equivalence
 // gate: every experiment must render byte-identically whether runs
-// replay materialised traces through fused lockstep sweeps (the
+// replay materialised traces through fused sweeps (the
 // default) or regenerate each trace live per config (Options.LiveGen,
 // the pre-replay path). A short trace and two apps keep the full
 // experiment catalogue tractable.

@@ -73,14 +73,8 @@ type Perceptron struct {
 // NewPerceptron returns a predictor with zero weights and an
 // all-"unchanged" initial history (speculation is the common case, and
 // the paper reports results without any warmup).
-func NewPerceptron() *Perceptron { return new(Perceptron).Init() }
-
-// Init resets p to NewPerceptron's initial state in place. The fused
-// SoA sweep kernel allocates all lanes' perceptrons as one contiguous
-// []Perceptron slab (the weight tables are fixed-size arrays, so the
-// slab is a single same-field slab) and initialises each element here.
-func (p *Perceptron) Init() *Perceptron {
-	*p = Perceptron{}
+func NewPerceptron() *Perceptron {
+	p := &Perceptron{}
 	for i := range p.history {
 		p.history[i] = 1
 	}

@@ -70,8 +70,8 @@ type Hierarchy struct {
 	// and contends for the L1 cache port").
 	portFree uint64
 
-	// predOn caches cfg.Mode == ModeBypass || ModeCombined for the
-	// per-record predictor-energy branch.
+	// predOn caches core.NeedsBypass(cfg.Mode) for the per-record
+	// predictor-energy branch.
 	predOn bool
 
 	path PathStats
@@ -91,7 +91,7 @@ func newHierarchy(cfg Config, seed int64, llc *sharedLLC, mem *dram.DRAM, acct *
 	if cfg.threeLevel() {
 		h.l2 = cache.New(l2Config())
 	}
-	h.predOn = cfg.Mode == core.ModeBypass || cfg.Mode == core.ModeCombined
+	h.predOn = core.NeedsBypass(cfg.Mode)
 	return h
 }
 

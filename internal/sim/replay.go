@@ -34,49 +34,30 @@ func Materialize(prof workload.Profile, sc vm.Scenario, seed int64, records uint
 }
 
 // RunBuffer is the replay-aware RunApp: it simulates one configuration
-// streaming from a materialised buffer instead of a live generator — a
-// one-lane RunConfigs. Context semantics match RunApp.
+// streaming from a materialised buffer instead of a live generator.
+// Context semantics match RunApp.
 func RunBuffer(ctx context.Context, name string, buf *replay.Buffer, cfg Config, seed int64) (Stats, error) {
-	out, err := RunConfigs(ctx, name, buf, []Config{cfg}, seed)
-	if err != nil {
-		return Stats{}, err
-	}
-	return out[0], nil
+	return RunTrace(ctx, name, buf.Cursor(), cfg, seed)
 }
 
-// RunConfigs advances len(cfgs) independent simulated systems over one
-// materialised trace through the structure-of-arrays sweep (see
-// soa.go): every lane's machine state is carved from contiguous
-// same-field slabs and each lane makes one pass over the packed words.
-// Each configuration gets the full private machinery of a solo run
-// (per-config LLC and DRAM — these are single-core systems that share
-// nothing), so RunConfigs(buf, cfgs) returns exactly what looping
-// RunBuffer over cfgs would, for none of the re-generation cost.
+// RunConfigs simulates len(cfgs) independent single-core systems over
+// one materialised trace by looping RunBuffer: each configuration gets
+// a solo run's full private machine (its own LLC and DRAM; these
+// systems share nothing) over its own cursor on the buffer, for none of
+// the re-generation cost.
 //
-// Context semantics match RunApp: each lane's pass polls ctx every
+// Context semantics match RunApp: each run polls ctx every
 // cpu.CtxCheckInterval records. Results are positional: out[i]
 // corresponds to cfgs[i]. Duplicate configurations are simulated
 // independently (callers that care deduplicate beforehand).
 func RunConfigs(ctx context.Context, name string, buf *replay.Buffer, cfgs []Config, seed int64) ([]Stats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s, err := newSoaSweep(ctx, cfgs, seed)
-	if err != nil {
-		return nil, err
-	}
-	words := buf.Words()
 	out := make([]Stats, len(cfgs))
-	for lane, cfg := range cfgs {
-		res, err := s.runLane(ctx, lane, words)
+	for i, cfg := range cfgs {
+		st, err := RunBuffer(ctx, name, buf, cfg, seed)
 		if err != nil {
 			return nil, fmt.Errorf("sim: fused run of %s (%d configs): %w", name, len(cfgs), err)
 		}
-		st := collect(cfg, name, res, &s.hs[lane], &s.accts[lane])
-		if err := st.CheckInvariants(); err != nil {
-			return nil, fmt.Errorf("sim: fused run of %s on %s: %w", name, cfg.Label(), err)
-		}
-		out[lane] = st
+		out[i] = st
 	}
 	return out, nil
 }

@@ -35,9 +35,9 @@ func TestRunBufferMatchesRunApp(t *testing.T) {
 	}
 }
 
-// TestRunConfigsMatchesSoloRuns asserts the fused lockstep sweep
-// returns, positionally, exactly what per-config solo replays return —
-// including duplicate configurations.
+// TestRunConfigsMatchesSoloRuns asserts the fused sweep returns,
+// positionally, exactly what per-config live runs (RunApp, same seed
+// and record count) return — including duplicate configurations.
 func TestRunConfigsMatchesSoloRuns(t *testing.T) {
 	prof := smallProf(t, "gcc", 2)
 	buf, err := Materialize(prof, vm.ScenarioNormal, 7, testRecords)
@@ -58,7 +58,7 @@ func TestRunConfigsMatchesSoloRuns(t *testing.T) {
 		t.Fatalf("got %d results for %d configs", len(fused), len(cfgs))
 	}
 	for i, cfg := range cfgs {
-		solo, err := RunBuffer(context.Background(), prof.Name, buf, cfg, 7)
+		solo, err := RunApp(context.Background(), prof, cfg, vm.ScenarioNormal, 7, testRecords)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,8 +90,8 @@ func TestRunConfigsCancellation(t *testing.T) {
 // TestRunConfigsRandomizedMatchesSolo is the fused sweep's property
 // test: for randomized config sets — 1..16 lanes drawn with
 // replacement, so duplicates occur — the fused sweep must return,
-// positionally, the byte-for-byte result of a solo RunBuffer replay of
-// each lane.
+// positionally, the byte-for-byte result of a live RunApp run (same
+// seed and record count) of each lane.
 func TestRunConfigsRandomizedMatchesSolo(t *testing.T) {
 	prof := smallProf(t, "ycsb", 2)
 	const recs = 8_000
@@ -127,7 +127,7 @@ func TestRunConfigsRandomizedMatchesSolo(t *testing.T) {
 		for i, pi := range picks {
 			want, ok := solo[pi]
 			if !ok {
-				want, err = RunBuffer(context.Background(), prof.Name, buf, pool[pi], 5)
+				want, err = RunApp(context.Background(), prof, pool[pi], vm.ScenarioNormal, 5, recs)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -52,9 +52,12 @@ func (s Stats) CheckInvariants() error {
 	return nil
 }
 
-// DefaultRecords is the per-app trace length used by the experiment
-// harness (scaled down from the paper's 500 M-instruction SimPoints;
-// see DESIGN.md "Known deviations").
+// DefaultRecords is the per-app trace length when a direct sim caller
+// (RunApp, RunMix, Materialize) passes 0, and the default of
+// `siptsim -records`; the experiment harness uses its own
+// exp.DefaultRecords (300 000) instead. Both are scaled down from the
+// paper's 500 M-instruction SimPoints (see DESIGN.md "Known
+// deviations").
 const DefaultRecords = 400_000
 
 // PhysFrames sizes physical memory for a set of profiles: enough for

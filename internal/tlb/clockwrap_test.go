@@ -13,8 +13,7 @@ func pageVA(i uint64) memaddr.VAddr { return memaddr.VAddr(i << memaddr.PageShif
 // LRU clock through wraparound and checks stamp compaction preserves
 // the eviction order.
 func TestArrayClockWrapPreservesLRU(t *testing.T) {
-	a := &array{} // one 4-way set
-	initArray(a, 4, 4, make([]entry, 4), make([][]entry, 1))
+	a := newArray(4, 4) // one 4-way set
 	for k := uint64(0); k < 4; k++ {
 		a.insert(k) // stamps 1..4, LRU order 0 < 1 < 2 < 3
 	}

@@ -149,17 +149,16 @@ func (a *array) compactStamps() uint32 {
 	return maxStamp
 }
 
-// initArray builds a set-associative array in place over caller-provided
-// storage: backing holds the entries (len >= entries), sets the per-set
-// slice headers (len >= entries/ways). Both the solo constructor (New)
-// and the sweep arena route through here, so the two layouts behave
-// identically.
-func initArray(a *array, entries, ways int, backing []entry, sets [][]entry) {
+// newArray builds a set-associative array of entries/ways sets, each
+// carved from one backing slice.
+func newArray(entries, ways int) array {
 	nSets := entries / ways
-	*a = array{sets: sets[:nSets:nSets], setMask: uint64(nSets) - 1}
+	backing := make([]entry, entries)
+	a := array{sets: make([][]entry, nSets), setMask: uint64(nSets) - 1}
 	for i := range a.sets {
 		a.sets[i], backing = backing[:ways:ways], backing[ways:]
 	}
+	return a
 }
 
 //sipt:hotpath
@@ -198,9 +197,7 @@ func (a *array) insert(key uint64) {
 	a.lastKey, a.lastHit = key, true
 }
 
-// TLB is the two-level data TLB. The arrays are embedded by value so a
-// slab of TLBs (see Arena) keeps every lane's clocks and memo fields
-// contiguous.
+// TLB is the two-level data TLB.
 type TLB struct {
 	cfg     Config
 	l1Small array
@@ -209,69 +206,17 @@ type TLB struct {
 	stats   Stats
 }
 
-// entryCount returns the total entries across the three arrays.
-func (c Config) entryCount() int { return c.L1SmallEntries + c.L1HugeEntries + c.L2Entries }
-
-// setCount returns the total sets across the three arrays.
-func (c Config) setCount() int {
-	return c.L1SmallEntries/c.L1Ways + c.L1HugeEntries/c.L1Ways + c.L2Entries/c.L2Ways
-}
-
-// initTLB wires t's arrays over the provided storage; see initArray.
-func initTLB(t *TLB, cfg Config, backing []entry, sets [][]entry) {
-	t.cfg = cfg
-	t.stats = Stats{}
-	nSmall, nHuge := cfg.L1SmallEntries, cfg.L1HugeEntries
-	sSmall, sHuge := nSmall/cfg.L1Ways, nHuge/cfg.L1Ways
-	initArray(&t.l1Small, nSmall, cfg.L1Ways, backing[:nSmall], sets[:sSmall])
-	initArray(&t.l1Huge, nHuge, cfg.L1Ways, backing[nSmall:nSmall+nHuge], sets[sSmall:sSmall+sHuge])
-	initArray(&t.l2, cfg.L2Entries, cfg.L2Ways, backing[nSmall+nHuge:], sets[sSmall+sHuge:])
-}
-
 // New builds a TLB; it panics on invalid configuration.
 func New(cfg Config) *TLB {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	t := &TLB{}
-	initTLB(t, cfg, make([]entry, cfg.entryCount()), make([][]entry, cfg.setCount()))
-	return t
-}
-
-// Arena carves the entry storage of many TLBs out of contiguous slabs,
-// so a fused sweep's lane TLBs sit adjacent in memory and cost two
-// allocations total. Single-use, like cache.Arena.
-type Arena struct {
-	entries []entry
-	sets    [][]entry
-	cfg     Config
-}
-
-// NewArena allocates slabs for n TLBs of the given configuration. It
-// panics on an invalid configuration, like New.
-func NewArena(n int, cfg Config) *Arena {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	return &Arena{
-		entries: make([]entry, n*cfg.entryCount()),
-		sets:    make([][]entry, n*cfg.setCount()),
+	return &TLB{
 		cfg:     cfg,
+		l1Small: newArray(cfg.L1SmallEntries, cfg.L1Ways),
+		l1Huge:  newArray(cfg.L1HugeEntries, cfg.L1Ways),
+		l2:      newArray(cfg.L2Entries, cfg.L2Ways),
 	}
-}
-
-// Init builds a TLB in place over the next carve of the arena's slabs;
-// the result is indistinguishable from *New(cfg). It panics when the
-// arena is exhausted.
-func (a *Arena) Init(t *TLB) *TLB {
-	ne, ns := a.cfg.entryCount(), a.cfg.setCount()
-	if len(a.entries) < ne || len(a.sets) < ns {
-		panic("tlb: arena exhausted (Init calls must match NewArena's count)")
-	}
-	backing, sets := a.entries[:ne:ne], a.sets[:ns:ns]
-	a.entries, a.sets = a.entries[ne:], a.sets[ns:]
-	initTLB(t, a.cfg, backing, sets)
-	return t
 }
 
 // Config returns the TLB configuration.
