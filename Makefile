@@ -79,13 +79,15 @@ chaos:
 	$(GO) test -race -short -run 'TestChaos' ./internal/fabric/
 
 # Native Go fuzzing over the pure bit-math and allocator invariants,
-# the core timing model against its plain reference, plus the lint
-# loader/dataflow stack on generated Go sources.
+# the buddy allocator, address space and core timing model against
+# their plain references, plus the lint loader/dataflow stack on
+# generated Go sources.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIndexDelta -fuzztime=$(FUZZTIME) ./internal/memaddr/
 	$(GO) test -run='^$$' -fuzz=FuzzUnchangedBits -fuzztime=$(FUZZTIME) ./internal/memaddr/
 	$(GO) test -run='^$$' -fuzz=FuzzAlignAndLog2 -fuzztime=$(FUZZTIME) ./internal/memaddr/
 	$(GO) test -run='^$$' -fuzz=FuzzBuddy -fuzztime=$(FUZZTIME) ./internal/vm/
+	$(GO) test -run='^$$' -fuzz=FuzzAddressSpaceMatchesReference -fuzztime=$(FUZZTIME) ./internal/vm/
 	$(GO) test -run='^$$' -fuzz=FuzzCoreMatchesReference -fuzztime=$(FUZZTIME) ./internal/cpu/
 	$(GO) test -run='^$$' -fuzz=FuzzLoader -fuzztime=$(FUZZTIME) ./internal/lint/
 	$(GO) test -run='^$$' -fuzz=FuzzReadBuffer -fuzztime=$(FUZZTIME) ./internal/tracefile/

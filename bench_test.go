@@ -258,6 +258,27 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 	}
 }
 
+// BenchmarkGeneratorReset measures the quad-core recycle path: a
+// finished core's generator tears its address space down (ycsb's ~2,900
+// small-chunk VMAs unmapped in allocation order, frames back to the
+// buddy) and rebuilds it.
+func BenchmarkGeneratorReset(b *testing.B) {
+	prof := workload.MustLookup("ycsb")
+	sys := sim.NewSystem(vm.ScenarioNormal, 1, prof)
+	gen, err := workload.NewGenerator(prof, sys, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if n := len(gen.Space().VMAs()); n < 1000 {
+		b.Fatalf("ycsb maps %d VMAs, want the small-chunk-heavy layout", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gen.Reset()
+	}
+}
+
 func BenchmarkTraceCodec(b *testing.B) {
 	rec := trace.Record{PC: 0x400000, VA: 0x7f0000001000, PA: 0x1234000,
 		Gap: 3, DepDist: 2}

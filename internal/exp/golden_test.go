@@ -24,13 +24,13 @@ func goldenOpts() Options {
 
 // renderExperiment runs one experiment on a fresh runner and renders
 // every table to one text blob.
-func renderExperiment(t *testing.T, id string) string {
+func renderExperiment(t *testing.T, id string, opts Options) string {
 	t.Helper()
 	e, err := Lookup(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tabs, err := e.Run(NewRunner(goldenOpts()))
+	tabs, err := e.Run(NewRunner(opts))
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -45,16 +45,30 @@ func renderExperiment(t *testing.T, id string) string {
 }
 
 // TestGoldenTables asserts that the hot-path optimisations never change
-// experiment output: fig6/fig9/fig13 must render byte-identically to
-// the golden output captured from the pre-optimisation implementation.
-// Regenerate (only after an intentional semantic change) with:
+// experiment output: fig6/fig9/fig13 (single-core) and fig15 (the
+// coupled quad-core mixes, including the generator recycle path) must
+// render byte-identically to the golden output captured from the
+// pre-optimisation implementation. Regenerate (only after an
+// intentional semantic change) with:
 //
 //	go test ./internal/exp -run TestGoldenTables -update
 func TestGoldenTables(t *testing.T) {
-	for _, id := range []string{"fig6", "fig9", "fig13"} {
-		t.Run(id, func(t *testing.T) {
-			got := renderExperiment(t, id)
-			path := filepath.Join("testdata", "golden_"+id+".txt")
+	for _, c := range []struct {
+		id   string
+		opts Options
+	}{
+		{"fig6", goldenOpts()},
+		{"fig9", goldenOpts()},
+		{"fig13", goldenOpts()},
+		// Fig. 15 runs every Tab. III mix under five configurations, each
+		// core recycling its trace until the slowest finishes: a short
+		// per-core trace keeps it cheap (also under -race) while still
+		// crossing generator Resets.
+		{"fig15", Options{Records: 2_000, Seed: 1, Workers: 2}},
+	} {
+		t.Run(c.id, func(t *testing.T) {
+			got := renderExperiment(t, c.id, c.opts)
+			path := filepath.Join("testdata", "golden_"+c.id+".txt")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -70,7 +84,7 @@ func TestGoldenTables(t *testing.T) {
 			}
 			if got != string(want) {
 				t.Errorf("%s table output drifted from golden output.\n--- got ---\n%s\n--- want ---\n%s",
-					id, got, want)
+					c.id, got, want)
 			}
 		})
 	}
@@ -81,8 +95,8 @@ func TestGoldenTables(t *testing.T) {
 // byte-identical-output gate that makes the benchmark harness
 // trustworthy.
 func TestGoldenDeterminism(t *testing.T) {
-	a := renderExperiment(t, "fig6")
-	b := renderExperiment(t, "fig6")
+	a := renderExperiment(t, "fig6", goldenOpts())
+	b := renderExperiment(t, "fig6", goldenOpts())
 	if a != b {
 		t.Errorf("fig6 output not deterministic across runs:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}

@@ -265,8 +265,10 @@ func RunMix(ctx context.Context, mix workload.Mix, cfg Config, sc vm.Scenario, s
 			}
 		}
 		l := lanes[li]
-		err := l.gen.NextInto(&rec)
-		if errors.Is(err, io.EOF) {
+		if err := l.gen.NextInto(&rec); err != nil {
+			if !errors.Is(err, io.EOF) {
+				return MixStats{}, fmt.Errorf("sim: mix %s core %d: %w", mix.Name, li, err)
+			}
 			if !l.done {
 				// First pass complete: snapshot this core's result.
 				l.snapshot = l.core.Result()
@@ -280,9 +282,6 @@ func RunMix(ctx context.Context, mix workload.Mix, cfg Config, sc vm.Scenario, s
 			// program, fresh mapping, as rerunning the binary would).
 			l.gen.Reset()
 			continue
-		}
-		if err != nil {
-			return MixStats{}, fmt.Errorf("sim: mix %s core %d: %w", mix.Name, li, err)
 		}
 		l.core.StepPtr(&rec)
 		l.consumed++

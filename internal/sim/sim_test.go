@@ -2,7 +2,9 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"sipt/internal/core"
 	"sipt/internal/cpu"
@@ -313,6 +315,64 @@ func TestRunMixRecyclesFinishedCores(t *testing.T) {
 		if ms.PerCore[i].Core.Instructions == 0 {
 			t.Errorf("core %d snapshot empty", i)
 		}
+	}
+}
+
+// TestRunMixCancellation: a mix started on an already cancelled context
+// fails with an error wrapping context.Canceled instead of running.
+func TestRunMixCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := RunMix(ctx, workload.Mixes()[0], SIPT(cpu.OOO(), 32, 2, core.ModeCombined),
+		vm.ScenarioNormal, 3, 4000)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want one wrapping context.Canceled", err)
+	}
+}
+
+// expiringCtx is a context whose deadline passes at its expireAt-th
+// Err poll, so a test can tell how many polls a loop made.
+type expiringCtx struct {
+	context.Context
+	polls, expireAt int
+}
+
+func (c *expiringCtx) Err() error {
+	c.polls++
+	if c.polls >= c.expireAt {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestRunMixDeadlineMidMix: a deadline passing while the cores are
+// interleaving (per-core traces far too long to finish) stops the mix
+// at the next poll, i.e. within cpu.CtxCheckInterval steps, with an
+// error wrapping context.DeadlineExceeded; a wall-clock deadline stops
+// it promptly too.
+func TestRunMixDeadlineMidMix(t *testing.T) {
+	mix := workload.Mixes()[0]
+	cfg := SIPT(cpu.OOO(), 32, 2, core.ModeCombined)
+	const endless = 1 << 40
+
+	ctx := &expiringCtx{Context: context.Background(), expireAt: 3}
+	_, err := RunMix(ctx, mix, cfg, vm.ScenarioNormal, 3, endless)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want one wrapping context.DeadlineExceeded", err)
+	}
+	if ctx.polls != ctx.expireAt {
+		t.Errorf("ctx polled %d times, want %d: the mix kept stepping past the expired poll", ctx.polls, ctx.expireAt)
+	}
+
+	tctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = RunMix(tctx, mix, cfg, vm.ScenarioNormal, 3, endless)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want one wrapping context.DeadlineExceeded", err)
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Errorf("mix returned %v after starting with a 50ms deadline", took)
 	}
 }
 

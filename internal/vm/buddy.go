@@ -30,12 +30,13 @@ const HugeOrder = memaddr.HugeExtraBits
 // authoritative state is the free map (block start frame -> order), and
 // stack entries are validated against it when popped. This keeps
 // alloc/free O(1) amortised while still supporting O(1) buddy
-// coalescing.
+// coalescing. The free map is dense, one byte per frame, so every
+// alloc, free and coalesce step is an array index rather than a hash.
 type Buddy struct {
 	frames   uint64 // total frames managed
 	free     uint64 // total free frames
 	stacks   [MaxOrder + 1][]uint64
-	freeAt   map[uint64]int       // block start -> order, for free blocks only
+	freeAt   []int8               // per frame: order+1 if a free block starts there, else 0
 	counts   [MaxOrder + 1]uint64 // free blocks per order, kept in sync with freeAt
 	allocCnt uint64
 }
@@ -46,7 +47,7 @@ type Buddy struct {
 func NewBuddy(frames uint64) *Buddy {
 	b := &Buddy{
 		frames: frames,
-		freeAt: make(map[uint64]int),
+		freeAt: make([]int8, frames),
 	}
 	start := uint64(0)
 	for start < frames {
@@ -73,15 +74,21 @@ func (b *Buddy) FreeFrames() uint64 { return b.free }
 func (b *Buddy) Allocs() uint64 { return b.allocCnt }
 
 func (b *Buddy) pushFree(start uint64, order int) {
-	b.freeAt[start] = order
+	b.freeAt[start] = int8(order + 1)
 	b.counts[order]++
 	b.stacks[order] = append(b.stacks[order], start)
+}
+
+// isFree reports whether a free block of exactly the given order starts
+// at frame start (false for frames beyond the end of memory).
+func (b *Buddy) isFree(start uint64, order int) bool {
+	return start < uint64(len(b.freeAt)) && b.freeAt[start] == int8(order+1)
 }
 
 // dropFree removes a free block from the authoritative map (its stack
 // entry, if any, goes stale and is discarded lazily).
 func (b *Buddy) dropFree(start uint64, order int) {
-	delete(b.freeAt, start)
+	b.freeAt[start] = 0
 	b.counts[order]--
 }
 
@@ -93,7 +100,7 @@ func (b *Buddy) popFree(order int) (uint64, bool) {
 	for len(s) > 0 {
 		start := s[len(s)-1]
 		s = s[:len(s)-1]
-		if o, ok := b.freeAt[start]; ok && o == order {
+		if b.isFree(start, order) {
 			b.dropFree(start, order)
 			b.stacks[order] = s
 			return start, true
@@ -151,14 +158,13 @@ func (b *Buddy) Free(pfn memaddr.PFN, order int) {
 	if start+1<<order > b.frames {
 		panic(fmt.Sprintf("vm: Free(%#x, %d): block beyond end of memory", start, order))
 	}
-	if _, dup := b.freeAt[start]; dup {
+	if b.freeAt[start] != 0 {
 		panic(fmt.Sprintf("vm: double free of block %#x", start))
 	}
 	b.free += 1 << order
 	for order < MaxOrder {
 		buddy := start ^ 1<<order
-		o, ok := b.freeAt[buddy]
-		if !ok || o != order || buddy+1<<order > b.frames {
+		if !b.isFree(buddy, order) {
 			break
 		}
 		// Merge: remove the buddy (its stack entry goes stale) and
@@ -202,36 +208,42 @@ func (b *Buddy) UnusableFreeIndex(j int) float64 {
 
 // checkInvariants validates internal consistency; used by tests.
 func (b *Buddy) checkInvariants() error {
+	if uint64(len(b.freeAt)) != b.frames {
+		return fmt.Errorf("free map covers %d frames, allocator manages %d", len(b.freeAt), b.frames)
+	}
 	var total uint64
-	for start, order := range b.freeAt {
+	var mapCounts [MaxOrder + 1]uint64
+	// No two free blocks may overlap: every frame in every free block
+	// must be covered exactly once; verify by marking.
+	seen := make([]bool, b.frames)
+	for i, v := range b.freeAt {
+		if v == 0 {
+			continue
+		}
+		start, order := uint64(i), int(v)-1
+		if order < 0 || order > MaxOrder {
+			return fmt.Errorf("free block %#x has order %d", start, order)
+		}
 		if start&(1<<order-1) != 0 {
 			return fmt.Errorf("free block %#x misaligned for order %d", start, order)
 		}
 		if start+1<<order > b.frames {
 			return fmt.Errorf("free block %#x order %d beyond end", start, order)
 		}
-		total += 1 << order
-	}
-	if total != b.free {
-		return fmt.Errorf("free accounting mismatch: map says %d, counter says %d", total, b.free)
-	}
-	var mapCounts [MaxOrder + 1]uint64
-	for _, order := range b.freeAt {
-		mapCounts[order]++
-	}
-	if mapCounts != b.counts {
-		return fmt.Errorf("free block counts out of sync: map says %v, incremental says %v", mapCounts, b.counts)
-	}
-	// No two free blocks may overlap. Sort-free check: every frame in
-	// every free block must be covered exactly once; verify by marking.
-	seen := make(map[uint64]bool, total)
-	for start, order := range b.freeAt {
 		for f := start; f < start+1<<order; f++ {
 			if seen[f] {
 				return fmt.Errorf("frame %#x covered by two free blocks", f)
 			}
 			seen[f] = true
 		}
+		total += 1 << order
+		mapCounts[order]++
+	}
+	if total != b.free {
+		return fmt.Errorf("free accounting mismatch: map says %d, counter says %d", total, b.free)
+	}
+	if mapCounts != b.counts {
+		return fmt.Errorf("free block counts out of sync: map says %v, incremental says %v", mapCounts, b.counts)
 	}
 	return nil
 }

@@ -80,9 +80,7 @@ func (f *Fragmenter) FragmentTo(j int, target float64, reserveFrames uint64) flo
 // buddyIsFree reports whether the order-0 buddy of pfn is currently a
 // free block (freeing pfn would coalesce into an order-1 block).
 func (f *Fragmenter) buddyIsFree(pfn memaddr.PFN) bool {
-	buddy := uint64(pfn) ^ 1
-	o, ok := f.buddy.freeAt[buddy]
-	return ok && o == 0
+	return f.buddy.isFree(uint64(pfn)^1, 0)
 }
 
 // Release frees every frame the fragmenter holds, restoring memory.

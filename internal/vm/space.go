@@ -171,21 +171,29 @@ func (as *AddressSpace) Mmap(size uint64) memaddr.VAddr {
 	return base
 }
 
+// vmaIndex returns the index of the last VMA whose base is <= v, or -1.
+// Mmap hands out strictly ascending bases, so vmas is sorted by base
+// and a binary search finds it (churn-heavy profiles hold thousands of
+// small chunks; a linear scan per fault or unmap would dominate).
+func (as *AddressSpace) vmaIndex(v memaddr.VAddr) int {
+	return sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].base > v }) - 1
+}
+
 // Munmap releases a previously mapped region, returning its frames to
 // the buddy allocator. The base/size must exactly match a prior Mmap.
+// Unmapping the lowest VMA is O(1) in the VMA count, so releasing a
+// whole address space in Mmap order is linear overall.
 func (as *AddressSpace) Munmap(base memaddr.VAddr, size uint64) error {
 	size = memaddr.AlignUp(size, memaddr.PageBytes)
-	idx := -1
-	for i, a := range as.vmas {
-		if a.base == base && a.size == size {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
+	idx := as.vmaIndex(base)
+	if idx < 0 || as.vmas[idx].base != base || as.vmas[idx].size != size {
 		return fmt.Errorf("vm: Munmap(%#x, %d): no such mapping", base, size)
 	}
-	as.vmas = append(as.vmas[:idx], as.vmas[idx+1:]...)
+	if idx == 0 {
+		as.vmas = as.vmas[1:]
+	} else {
+		as.vmas = append(as.vmas[:idx], as.vmas[idx+1:]...)
+	}
 
 	// Free huge regions wholly inside the VMA.
 	firstHuge := uint64(base) >> memaddr.HugePageShift
@@ -224,10 +232,7 @@ func (as *AddressSpace) hugeEligible(v memaddr.VAddr) bool {
 	}
 	h := uint64(v) >> memaddr.HugePageShift
 	regionBase := memaddr.VAddr(h << memaddr.HugePageShift)
-	// Mmap hands out ascending bases, so vmas is sorted by base: binary
-	// search for the VMA covering v (faults in churn-heavy profiles with
-	// hundreds of small chunks would otherwise pay a linear scan each).
-	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].base > v }) - 1
+	i := as.vmaIndex(v)
 	if i < 0 || !as.vmas[i].contains(v) {
 		return false
 	}
@@ -377,8 +382,8 @@ func (as *AddressSpace) Touch(base memaddr.VAddr, size uint64) error {
 	return nil
 }
 
-// VMAs returns the current virtual memory areas, sorted by base, for
-// inspection by tools and tests.
+// VMAs returns the current virtual memory areas, sorted by base (the
+// order Mmap created them in), for inspection by tools and tests.
 func (as *AddressSpace) VMAs() []struct {
 	Base memaddr.VAddr
 	Size uint64
@@ -391,6 +396,5 @@ func (as *AddressSpace) VMAs() []struct {
 		out[i].Base = a.base
 		out[i].Size = a.size
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
 	return out
 }

@@ -38,8 +38,10 @@ type stream struct {
 }
 
 // Generator produces the access trace for one profile, streamingly.
-// It implements trace.Reader and trace.Resetter (Reset regenerates the
-// identical stream: same seed, same address space).
+// It implements trace.Reader and trace.Resetter. Reset replays the same
+// seed, so every pass has identical PCs, VAs and gaps, but it rebuilds
+// the address space, so frames (and hence PAs) are re-drawn from the
+// allocator's current state.
 type Generator struct {
 	prof  Profile
 	sys   *vm.System
@@ -203,10 +205,11 @@ func hashName(s string) uint64 {
 	return h
 }
 
-// Reset regenerates the identical stream from the beginning. The
-// address space is rebuilt, so physical frames are re-drawn from the
-// allocator's *current* state; for deterministic replay across resets
-// the caller should materialise the trace (trace.Collect) instead.
+// Reset restarts the stream from the beginning with the same seed, so
+// PCs, VAs and gaps repeat. The address space is rebuilt, so physical
+// frames are re-drawn from the allocator's *current* state; for
+// deterministic replay across resets the caller should materialise the
+// trace (trace.Collect) instead.
 // Reset exists for the multicore recycle loop, where "same program,
 // later mapping" is exactly what rerunning a real binary would do.
 func (g *Generator) Reset() {
@@ -220,6 +223,9 @@ func (g *Generator) Reset() {
 }
 
 // teardown releases the generator's address space back to the system.
+// Chunks unmap in allocation order, which fixes the order frames return
+// to the buddy and so the frames every later fault draws. The chunk
+// slice keeps its capacity for the next setup.
 func (g *Generator) teardown() {
 	for _, c := range g.chunks {
 		// Munmap only fails for unknown regions; ours are tracked.
@@ -227,7 +233,7 @@ func (g *Generator) teardown() {
 			panic(fmt.Sprintf("workload %s: teardown: %v", g.prof.Name, err))
 		}
 	}
-	g.chunks = nil
+	g.chunks = g.chunks[:0]
 }
 
 // Space exposes the backing address space (tools and tests inspect it).
