@@ -348,27 +348,3 @@ func BenchmarkReplayRun(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkFusedSweep4 runs four configs over one materialised buffer
-// through sim.RunConfigs. Each lane is a solo replay, so ns/op should
-// track 4x BenchmarkReplayRun; a gap is sweep overhead.
-func BenchmarkFusedSweep4(b *testing.B) {
-	buf := benchBuffer(b, "h264ref")
-	cfgs := []sim.Config{
-		sim.Baseline(cpu.OOO()),
-		sim.SIPT(cpu.OOO(), 32, 2, core.ModeBypass),
-		sim.SIPT(cpu.OOO(), 32, 2, core.ModeCombined),
-		sim.SIPT(cpu.OOO(), 32, 2, core.ModeIdeal),
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sts, err := sim.RunConfigs(context.Background(), "h264ref", buf, cfgs, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(sts) != len(cfgs) {
-			b.Fatal("short sweep")
-		}
-	}
-}

@@ -18,8 +18,8 @@
 //
 // Everything below the core (SIPT L1, TLB, L2/LLC/DRAM, port
 // contention) lives behind the MemSystem interface. Core is the only
-// implementation of this timing: single-core runs, the fused sweep's
-// lanes and the quad-core interleave all step it.
+// implementation of this timing: single-core runs, live or replayed,
+// and the quad-core interleave all step it.
 package cpu
 
 import (
@@ -408,7 +408,7 @@ func (c *Core) end(err error) (Result, error) {
 }
 
 // StepPtr simulates one record, for callers that drive the core
-// themselves: the quad-core interleave and the fused sweep's lane loop.
+// themselves: the quad-core interleave.
 // The core does not retain or mutate *rec (step obeys the MemSystem
 // contract).
 //

@@ -29,7 +29,7 @@ import (
 // a distributed sweep is bit-identical to a single-node one.
 //
 // Implementations must return stats positionally (out[i] is cfgs[i]'s
-// result), exactly what the local fused path would produce.
+// result), exactly what the local path would produce.
 type Remote interface {
 	RunConfigs(ctx context.Context, app string, sc vm.Scenario,
 		seed int64, records uint64, cfgs []sim.Config) ([]sim.Stats, error)
@@ -55,7 +55,7 @@ type Options struct {
 	TracePoolMB int
 	// LiveGen disables trace materialisation: every run streams from a
 	// live generator, as before the replay engine. Results are identical
-	// either way (the golden and fused-equality tests depend on it);
+	// either way (the golden and replay-versus-live tests depend on it);
 	// the switch trades the pool's memory for repeated generation.
 	LiveGen bool
 	// Remote, when non-nil, offloads simulation batches to a fleet (the

@@ -12,16 +12,6 @@ import (
 	"sipt/internal/workload"
 )
 
-// errLiveGen marks a runner whose options disable trace materialisation
-// (Options.LiveGen); replay-aware paths treat it like ErrUnpackable and
-// stream from live generators instead.
-var errLiveGen = errors.New("exp: live generation requested")
-
-// errPoolOversize marks a trace too large for the pool to retain under
-// its byte budget: replaying it would regenerate on every request, so
-// the run degrades to live generation (counted — see noteDegraded).
-var errPoolOversize = errors.New("exp: trace exceeds the pool's retainable size")
-
 // poolKey is the trace-pool key for one (app, scenario) under the
 // runner's current options. Records and seed are in the key, so derived
 // views (WithOptions) sharing one pool never alias.
@@ -29,71 +19,53 @@ func (r *Runner) poolKey(app string, sc vm.Scenario) replay.Key {
 	return replay.Key{App: app, Scenario: sc, Seed: r.opts.Seed, Records: r.opts.records()}
 }
 
-// buffer returns the shared materialised trace for (app, sc), building
-// it on first use. Errors wrapping replay.ErrUnpackable or errLiveGen
-// mean "stream live instead"; anything else is a real failure.
-func (r *Runner) buffer(app string, sc vm.Scenario) (*replay.Buffer, error) {
-	if r.opts.LiveGen {
-		return nil, errLiveGen
+// traceSource decides, once for a batch of runs over (app, sc)'s record
+// stream, where the records come from, and returns the opener each run
+// calls for its own reader: cursors over the pooled buffer, or fresh
+// live generators producing the identical records. The choice is a
+// cost decision only; the stream is the same either way. Live
+// generation is used when Options.LiveGen asks for it, when the trace
+// cannot be packed (replay.ErrUnpackable), or when the pool cannot
+// serve it (replay.ErrOversize, replay.ErrEvicted). Only the last case
+// is a degradation: it adds runs to the count the daemon exposes as
+// serve_degraded_runs_total.
+func (r *Runner) traceSource(app string, sc vm.Scenario, runs int) (func() (trace.Reader, error), error) {
+	if !r.opts.LiveGen {
+		buf, err := r.sh.traces.Get(r.poolKey(app, sc))
+		switch {
+		case err == nil:
+			return func() (trace.Reader, error) { return buf.Cursor(), nil }, nil
+		case errors.Is(err, replay.ErrOversize), errors.Is(err, replay.ErrEvicted):
+			r.sh.degraded.Add(uint64(runs))
+		case !errors.Is(err, replay.ErrUnpackable):
+			return nil, err
+		}
 	}
-	// A trace the pool cannot retain would be rebuilt on every request —
-	// strictly worse than live generation (which also honours the run's
-	// context mid-trace, where materialisation does not).
-	records := r.opts.records()
-	if records > uint64(r.sh.traces.MaxBufferBytes())/replay.BytesPerRecord {
-		r.sh.traces.NoteOversize()
-		return nil, errPoolOversize
-	}
-	return r.sh.traces.Get(r.poolKey(app, sc))
-}
-
-// useLive reports whether err is one of the deliberate
-// fall-back-to-live-generation conditions: an explicit LiveGen request,
-// a scenario the packed format cannot express, or graceful degradation
-// (byte-budget overflow, an eviction storm).
-func useLive(err error) bool {
-	return errors.Is(err, replay.ErrUnpackable) || errors.Is(err, errLiveGen) ||
-		errors.Is(err, errPoolOversize) || errors.Is(err, replay.ErrEvicted)
-}
-
-// noteDegraded counts live-generation fallbacks that are *degradations*
-// — the pool wanted to serve the trace but could not (byte budget,
-// eviction storm) — as opposed to deliberate choices (Options.LiveGen)
-// or structural impossibility (ErrUnpackable). runs is how many
-// simulations or trace reads the fallback serves. The daemon exposes
-// the count as serve_degraded_runs_total.
-func (r *Runner) noteDegraded(err error, runs int) {
-	if errors.Is(err, errPoolOversize) || errors.Is(err, replay.ErrEvicted) {
-		r.sh.degraded.Add(uint64(runs))
-	}
-}
-
-// traceReader returns (app, sc)'s record stream under the runner's
-// options: a cursor over the pooled buffer when materialisation is
-// available, else a fresh live generator producing the identical
-// records. Figures that analyse raw traces (Fig. 5, the predictor
-// ablations) drain this instead of constructing generators by hand, so
-// they too share one materialisation per app.
-func (r *Runner) traceReader(app string, sc vm.Scenario) (trace.Reader, error) {
-	buf, err := r.buffer(app, sc)
-	if err == nil {
-		return buf.Cursor(), nil
-	}
-	if !useLive(err) {
-		return nil, err
-	}
-	r.noteDegraded(err, 1)
 	prof, err := workload.Lookup(app)
 	if err != nil {
 		return nil, err
 	}
-	sys := sim.NewSystem(sc, r.opts.Seed, prof)
-	return workload.NewGenerator(prof, sys, r.opts.Seed, r.opts.records())
+	return func() (trace.Reader, error) {
+		sys := sim.NewSystem(sc, r.opts.Seed, prof)
+		return workload.NewGenerator(prof, sys, r.opts.Seed, r.opts.records())
+	}, nil
+}
+
+// traceReader returns (app, sc)'s record stream under the runner's
+// options (a one-run traceSource). Figures that analyse raw traces
+// (Fig. 5, the predictor ablations) drain this instead of constructing
+// generators by hand, so they too share one materialisation per app.
+func (r *Runner) traceReader(app string, sc vm.Scenario) (trace.Reader, error) {
+	open, err := r.traceSource(app, sc, 1)
+	if err != nil {
+		return nil, err
+	}
+	return open()
 }
 
 // The runner's tier ladder, shared by Run, RunConfigs and RunTrace:
 //
-//	memo cache -> store -> remote -> fused buffer replay -> live RunApp
+//	memo cache -> store -> remote -> local RunTrace over traceSource
 //
 // RunConfigs partitions a sweep against the memo cache and Run/RunTrace
 // wrap one config in the cache's singleflight (runOne); tiered serves
@@ -152,15 +124,12 @@ func (r *Runner) tiered(digest string, memoKeys []string, cfgs []sim.Config,
 	return out, nil
 }
 
-// simulate computes cfgs for one app under sc on the first tier that
-// can take them: the remote fleet when one is configured (the whole
-// batch travels as one shard, so the worker's fused pass covers exactly
-// the lanes a local run would); else one fused pass over the app's
-// pooled materialised trace (generation paid once per app, not once
-// per config); else, when the trace cannot be materialised or pooled,
-// live generation per config. The tiers are interchangeable: replay
-// reproduces the live run bit for bit (internal/sim
-// TestRunBufferMatchesRunApp) and fused lanes equal solo runs.
+// simulate computes cfgs for one app under sc: on the remote fleet
+// when one is configured (the whole batch travels as one shard, so the
+// worker runs exactly the configs a local run would), else locally,
+// one sim.RunTrace per config over the batch's traceSource. Every
+// source yields the same records, so the result does not depend on
+// which one ran (internal/sim TestRunBufferMatchesRunApp).
 func (r *Runner) simulate(app string, cfgs []sim.Config, sc vm.Scenario) ([]sim.Stats, error) {
 	if rem := r.sh.remote; rem != nil {
 		sts, err := rem.RunConfigs(r.Context(), app, sc, r.opts.Seed, r.opts.records(), cfgs)
@@ -172,25 +141,17 @@ func (r *Runner) simulate(app string, cfgs []sim.Config, sc vm.Scenario) ([]sim.
 		}
 		return sts, nil
 	}
-	buf, err := r.buffer(app, sc)
-	if err == nil {
-		sts, err := sim.RunConfigs(r.Context(), app, buf, cfgs, r.opts.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("exp: %s/%s (%d configs): %w", app, sc, len(cfgs), err)
-		}
-		return sts, nil
-	}
-	if !useLive(err) {
-		return nil, err
-	}
-	r.noteDegraded(err, len(cfgs))
-	prof, err := workload.Lookup(app)
+	open, err := r.traceSource(app, sc, len(cfgs))
 	if err != nil {
 		return nil, err
 	}
 	sts := make([]sim.Stats, len(cfgs))
 	for i, cfg := range cfgs {
-		if sts[i], err = sim.RunApp(r.Context(), prof, cfg, sc, r.opts.Seed, r.opts.records()); err != nil {
+		tr, err := open()
+		if err == nil {
+			sts[i], err = sim.RunTrace(r.Context(), app, tr, cfg, r.opts.Seed)
+		}
+		if err != nil {
 			return nil, fmt.Errorf("exp: %s on %s/%s: %w", app, cfg.Label(), sc, err)
 		}
 	}
@@ -202,15 +163,15 @@ func (r *Runner) simulate(app string, cfgs []sim.Config, sc vm.Scenario) ([]sim.
 // bit-for-bit what Run(app, cfgs[i], sc) returns. Configs already in
 // the memo cache are peeked out first; the rest are deduplicated and go
 // down the tier ladder as one batch, so figures that sweep
-// configurations over a fixed app turn K decode+sim passes into one
-// fused pass over the app's materialised trace.
+// configurations over a fixed app generate the app's trace once, not
+// once per config.
 func (r *Runner) RunConfigs(app string, cfgs []sim.Config, sc vm.Scenario) ([]sim.Stats, error) {
 	out := make([]sim.Stats, len(cfgs))
 	keys := make([]string, len(cfgs))
 	cached := make([]bool, len(cfgs))
 
 	// Partition into already-memoised and to-compute, deduplicating the
-	// latter (duplicate configs would otherwise burn a fused lane each).
+	// latter (duplicate configs would otherwise each be simulated).
 	uniqAt := make(map[string]int)
 	var uniq []sim.Config
 	var uniqKeys []string
@@ -240,18 +201,18 @@ func (r *Runner) RunConfigs(app string, cfgs []sim.Config, sc vm.Scenario) ([]si
 	return r.publish(out, keys, cached, uniqAt, fresh)
 }
 
-// publish writes a fused batch's stats through the memo cache so later
+// publish writes a batch's fresh stats through the memo cache so later
 // Run/RunConfigs calls (and figures sharing baselines) hit, and fills
 // out positionally. A racing solo computation of the same key wins
 // harmlessly: both computed identical stats.
 func (r *Runner) publish(out []sim.Stats, keys []string, cached []bool,
-	uniqAt map[string]int, fused []sim.Stats) ([]sim.Stats, error) {
+	uniqAt map[string]int, fresh []sim.Stats) ([]sim.Stats, error) {
 
 	for i := range out {
 		if cached[i] {
 			continue
 		}
-		st := fused[uniqAt[keys[i]]]
+		st := fresh[uniqAt[keys[i]]]
 		var err error
 		out[i], err = r.sh.cache.Do(keys[i], func() (sim.Stats, error) { return st, nil })
 		if err != nil {

@@ -143,11 +143,12 @@ func (r *Runner) StoreStats() (store.Stats, bool) {
 // stats (Stats.App) and reports.
 func (r *Runner) RunTrace(digest, name string, buf *replay.Buffer, cfg sim.Config) (sim.Stats, error) {
 	memoKey := fmt.Sprintf("trace:%s|%s|%+v|%d", digest, name, cfg, r.opts.Seed)
-	return r.runOne(memoKey, digest, cfg, func(cfgs []sim.Config) ([]sim.Stats, error) {
-		sts, err := sim.RunConfigs(r.Context(), name, buf, cfgs, r.opts.Seed)
+	// runOne's batch is exactly []sim.Config{cfg}.
+	return r.runOne(memoKey, digest, cfg, func([]sim.Config) ([]sim.Stats, error) {
+		st, err := sim.RunTrace(r.Context(), name, buf.Cursor(), cfg, r.opts.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("exp: replaying trace %.12s on %s: %w", digest, cfg.Label(), err)
 		}
-		return sts, nil
+		return []sim.Stats{st}, nil
 	})
 }

@@ -1,7 +1,7 @@
 package fabric_test
 
 // End-to-end fabric acceptance: a coordinator-backed runner must render
-// every report byte-identically to the single-node fused path — the
+// every report byte-identically to the single-node path — the
 // fabric's defining property — including under chaos (a worker killed
 // mid-sweep, injected shard faults). External test package: serve
 // imports fabric, so these tests sit outside the package to close the
@@ -26,8 +26,8 @@ import (
 )
 
 // fabricOpts is the shared experiment shape: short traces and two apps
-// keep the distributed/local pair tractable, mirroring the fused
-// equivalence gate.
+// keep the distributed/local pair tractable, mirroring the replay
+// versus live-generation equivalence gate.
 func fabricOpts() exp.Options {
 	return exp.Options{Records: 2_000, Seed: 1, Apps: []string{"libquantum", "gcc"}, Workers: 2}
 }
@@ -47,7 +47,7 @@ func startWorker(t *testing.T) *httptest.Server {
 }
 
 // renderAll runs one experiment and concatenates every rendered table,
-// like the fused gate's helper.
+// like the replay-versus-live gate's helper.
 func renderAll(t *testing.T, e exp.Experiment, r *exp.Runner) string {
 	t.Helper()
 	tabs, err := e.Run(r)

@@ -1,14 +1,14 @@
 // Package fabric is the distributed sweep fabric: it spreads a sweep's
 // config grid across a fleet of siptd worker daemons and merges the
 // partial results into a report that is bit-identical to the
-// single-node fused path.
+// single-node path.
 //
 // The unit of distribution is the shard: one (app, scenario, seed,
 // records) trace plus the batch of configurations to simulate against
 // it. Shards route by consistent-hash trace affinity (Ring): the same
 // TraceKey always lands on the same worker, so each worker's replay
 // pool materialises every trace exactly once and stays hot across the
-// whole sweep. Workers execute shards through their ordinary fused
+// whole sweep. Workers execute shards through their ordinary
 // RunConfigs path and answer raw sim.Stats, which round-trip exactly
 // through JSON (Go encodes float64 at shortest-round-trip precision);
 // all averaging and table assembly happens once, on the coordinator,

@@ -71,7 +71,7 @@ func hotDecodeBad(words []uint64, out []record) []record {
 	return out
 }
 
-// laneState mirrors one fused-sweep lane's slab view: a dense chain
+// laneState mirrors one lane of a multi-config sweep kernel: a dense chain
 // slab indexed by a precomputed slot, plus the sparse-PC fallback map.
 type laneState struct {
 	chain    []uint32
@@ -80,7 +80,7 @@ type laneState struct {
 }
 
 // hotLaneSweepBad reconstructs the allocation-in-lane-loop bug caught
-// while fusing the sweep kernel: the sparse-chain fallback map was
+// while writing that kernel: the sparse-chain fallback map was
 // built and consulted inside the per-record lane loop, so every record
 // of every lane paid a map probe and the first paid the make.
 //

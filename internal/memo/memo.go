@@ -175,7 +175,7 @@ func (c *Cache[V]) Do(key string, compute func() (V, error)) (V, error) {
 // returns (value, true) only when key's computation has already
 // finished successfully, refreshing the entry's LRU position. In-flight
 // or absent keys return (zero, false) immediately — callers that batch
-// work (the fused sweep path) use this to partition keys into cached
+// work (exp.Runner.RunConfigs) use this to partition keys into cached
 // and to-compute without blocking on someone else's computation.
 func (c *Cache[V]) Get(key string) (V, bool) {
 	s := c.shardFor(key)

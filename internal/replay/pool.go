@@ -23,6 +23,12 @@ var evictStorm = fault.NewPoint("replay.pool.evict")
 // (and may repopulate the pool on a later request) rather than failing.
 var ErrEvicted = errors.New("replay: buffer evicted under pressure")
 
+// ErrOversize reports that the requested trace is longer than one
+// shard's byte budget can retain. Materialising it would be pure waste
+// (the buffer would be dropped the moment it was accounted), so Get
+// refuses it up front and callers stream the trace live instead.
+var ErrOversize = errors.New("replay: trace exceeds the pool's retainable size")
+
 // Key identifies one materialised trace: the tuple that fully
 // determines a synthetic record stream. Distinct seeds, lengths, or
 // scenarios never alias.
@@ -42,7 +48,7 @@ type Stats struct {
 	Hits      uint64 // lookups served from a resident buffer (including in-flight)
 	Misses    uint64 // lookups that started a materialisation
 	Evictions uint64 // buffers dropped to respect the byte budget
-	Oversize  uint64 // buffers too large for any shard to retain (see Oversize)
+	Oversize  uint64 // keys refused with ErrOversize plus buffers dropped as over budget
 	Entries   int    // resident buffers
 	Bytes     int64  // resident payload bytes (always <= the budget)
 }
@@ -82,9 +88,10 @@ type poolShard struct {
 
 // Pool is the sharded, byte-budgeted trace cache. Failed
 // materialisations are never cached: waiters observe the error, later
-// Gets retry. A buffer larger than a shard's budget is still returned
-// to callers but not retained, so resident bytes never exceed the
-// budget.
+// Gets retry. The pool alone decides what it can hold: a key too long
+// for a shard's budget is refused (ErrOversize), and a buffer that
+// turns out larger than the budget anyway is returned to callers but
+// not retained, so resident bytes never exceed the budget.
 type Pool struct {
 	shards    []poolShard
 	mat       Materializer
@@ -143,25 +150,19 @@ func (p *Pool) shardFor(k Key) *poolShard {
 	return &p.shards[h%uint64(len(p.shards))]
 }
 
-// MaxBufferBytes returns the largest buffer the pool can retain: one
-// shard's slice of the byte budget. Materialising anything larger is
-// pure waste (the buffer is handed to the caller, then dropped), so
-// callers should stream such traces live instead.
-func (p *Pool) MaxBufferBytes() int64 { return p.shards[0].budget }
-
-// NoteOversize records that a caller skipped the pool because the
-// requested trace exceeds MaxBufferBytes. Callers that pre-check (and
-// stream live instead of materialising a buffer the pool would
-// immediately drop) never reach Get, so without this hook the oversize
-// path would be invisible in the pool's counters.
-func (p *Pool) NoteOversize() { p.oversize.Add(1) }
-
 // Get returns the materialised buffer for key, building it on first
-// use. Concurrent Gets of the same key share one materialisation. Under
-// an armed replay.pool.evict fault, a seeded fraction of calls fail
-// with ErrEvicted after dropping the key's resident buffer.
+// use. Concurrent Gets of the same key share one materialisation. A key
+// whose Records exceed one shard's budget fails with ErrOversize
+// without materialising; that check precedes both the fault draw and
+// the hit/miss accounting. Under an armed replay.pool.evict fault, a
+// seeded fraction of calls fail with ErrEvicted after dropping the
+// key's resident buffer.
 func (p *Pool) Get(key Key) (*Buffer, error) {
 	s := p.shardFor(key)
+	if key.Records > uint64(s.budget)/BytesPerRecord {
+		p.oversize.Add(1)
+		return nil, ErrOversize
+	}
 	if evictStorm.Fire() {
 		p.dropResident(s, key)
 		return nil, ErrEvicted

@@ -16,7 +16,7 @@
 // — fail packing with ErrUnpackable, and callers fall back to live
 // generation; nothing is silently truncated.
 //
-// Decoding is the per-record hot path of every fused sweep: a Cursor
+// Decoding is the per-record hot path of every replayed run: a Cursor
 // reads two words and reassembles the record with shifts and masks,
 // allocation-free (enforced by the hotalloc analyzer through the
 // //sipt:hotpath annotations below).
@@ -192,7 +192,7 @@ func (b *Buffer) Cursor() *Cursor { return &Cursor{words: b.words} }
 // Len returns the total number of records the cursor ranges over.
 func (c *Cursor) Len() int { return len(c.words) / 2 }
 
-// NextInto implements trace.InPlaceReader: the fused sweep's per-record
+// NextInto implements trace.InPlaceReader: a replayed run's per-record
 // decode. Two loads plus shift/mask reassembly, no allocation.
 //
 //sipt:hotpath

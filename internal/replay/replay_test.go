@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sipt/internal/fault"
 	"sipt/internal/replay"
 	"sipt/internal/sim"
 	"sipt/internal/trace"
@@ -270,24 +271,48 @@ func TestPoolOversizedBufferNotRetained(t *testing.T) {
 	}
 }
 
-// TestPoolNoteOversize asserts the pre-check hook (callers that skip
-// Get entirely for traces beyond MaxBufferBytes) feeds the same
-// counter, so the formerly silent guard path is observable.
-func TestPoolNoteOversize(t *testing.T) {
-	p := replay.NewPool(1<<20, 1, func(k replay.Key) (*replay.Buffer, error) {
+// TestPoolOversizeKeyNeverMaterialises asserts a key whose declared
+// length exceeds one shard's budget is refused before anything else
+// happens: no materialisation, no hit or miss, and no fault draw (an
+// armed 1/1 eviction storm would otherwise answer ErrEvicted).
+func TestPoolOversizeKeyNeverMaterialises(t *testing.T) {
+	var calls atomic.Int64
+	p := replay.NewPool(1<<10, 1, func(k replay.Key) (*replay.Buffer, error) {
+		calls.Add(1)
 		return fakeBuffer(t, 1), nil
 	})
-	if st := p.Stats(); st.Oversize != 0 {
-		t.Fatalf("fresh pool reports oversize: %+v", st)
+	// 1 KiB holds 64 records; 65 is one too many.
+	key := replay.Key{App: "big", Records: 1<<10/replay.BytesPerRecord + 1}
+	if _, err := p.Get(key); !errors.Is(err, replay.ErrOversize) {
+		t.Fatalf("Get: err = %v, want ErrOversize", err)
 	}
-	p.NoteOversize()
-	p.NoteOversize()
-	st := p.Stats()
-	if st.Oversize != 2 {
-		t.Fatalf("Oversize = %d, want 2", st.Oversize)
+	if st := p.Stats(); st.Oversize != 1 || st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
+		t.Fatalf("stats = %+v, want Oversize 1 and nothing else", st)
 	}
-	if st.Hits != 0 || st.Misses != 0 || st.Evictions != 0 {
-		t.Fatalf("NoteOversize disturbed other counters: %+v", st)
+
+	spec, err := fault.ParseSpec("replay.pool.evict:1/1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fault.Arm(spec, 1); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fault.Disarm)
+	if _, err := p.Get(key); !errors.Is(err, replay.ErrOversize) {
+		t.Fatalf("Get under an evict storm: err = %v, want ErrOversize", err)
+	}
+	fault.Disarm()
+
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("materializer called %d times for an oversize key", n)
+	}
+	if st := p.Stats(); st.Oversize != 2 || st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want Oversize 2 and no lookups", st)
+	}
+	// One record fewer fits, and is materialised as usual.
+	key.Records--
+	if _, err := p.Get(key); err != nil || calls.Load() != 1 {
+		t.Fatalf("Get at the limit: err = %v, materialisations = %d", err, calls.Load())
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // records) trace. Shards run at Bulk priority — a coordinator is the
 // caller, not a waiting user — through the same admission, retry, and
 // job machinery as sweeps, so backpressure (429 + Retry-After) and
-// drain behave identically. The job executes the runner's fused
+// drain behave identically. The job executes the runner's
 // RunConfigs, which keeps the worker's replay pool hot for its
 // affinity keys and answers raw stats for the coordinator to merge.
 func (s *Server) handleShardSubmit(w http.ResponseWriter, r *http.Request) {
@@ -47,7 +47,7 @@ func (s *Server) handleShardSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildShard validates a ShardRequest and returns the closure that runs
-// the batch through the runner's fused RunConfigs. Each config lane the
+// the batch through the runner's RunConfigs. Each config the
 // runner persists is journaled as a checkpoint under the job's ID, so a
 // worker restart re-simulates only the lanes with no digest on record —
 // RunConfigs' store pre-partition serves the rest from disk.

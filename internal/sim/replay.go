@@ -55,7 +55,7 @@ func RunConfigs(ctx context.Context, name string, buf *replay.Buffer, cfgs []Con
 	for i, cfg := range cfgs {
 		st, err := RunBuffer(ctx, name, buf, cfg, seed)
 		if err != nil {
-			return nil, fmt.Errorf("sim: fused run of %s (%d configs): %w", name, len(cfgs), err)
+			return nil, fmt.Errorf("sim: sweep of %s (%d configs): %w", name, len(cfgs), err)
 		}
 		out[i] = st
 	}

@@ -35,7 +35,7 @@ func TestRunBufferMatchesRunApp(t *testing.T) {
 	}
 }
 
-// TestRunConfigsMatchesSoloRuns asserts the fused sweep returns,
+// TestRunConfigsMatchesSoloRuns asserts the multi-config sweep returns,
 // positionally, exactly what per-config live runs (RunApp, same seed
 // and record count) return — including duplicate configurations.
 func TestRunConfigsMatchesSoloRuns(t *testing.T) {
@@ -50,29 +50,29 @@ func TestRunConfigsMatchesSoloRuns(t *testing.T) {
 		SIPT(cpu.OOO(), 64, 4, core.ModeNaive),
 		SIPT(cpu.OOO(), 32, 2, core.ModeCombined), // duplicate: simulated independently
 	}
-	fused, err := RunConfigs(context.Background(), prof.Name, buf, cfgs, 7)
+	batch, err := RunConfigs(context.Background(), prof.Name, buf, cfgs, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fused) != len(cfgs) {
-		t.Fatalf("got %d results for %d configs", len(fused), len(cfgs))
+	if len(batch) != len(cfgs) {
+		t.Fatalf("got %d results for %d configs", len(batch), len(cfgs))
 	}
 	for i, cfg := range cfgs {
 		solo, err := RunApp(context.Background(), prof, cfg, vm.ScenarioNormal, 7, testRecords)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fused[i] != solo {
-			t.Errorf("config %d (%s): fused differs from solo\nfused: %+v\nsolo:  %+v",
-				i, cfg.Label(), fused[i], solo)
+		if batch[i] != solo {
+			t.Errorf("config %d (%s): sweep differs from solo\nsweep: %+v\nsolo:  %+v",
+				i, cfg.Label(), batch[i], solo)
 		}
 	}
-	if fused[1] != fused[3] {
+	if batch[1] != batch[3] {
 		t.Error("duplicate configs produced different results")
 	}
 }
 
-// TestRunConfigsCancellation asserts the fused loop honours ctx like
+// TestRunConfigsCancellation asserts the multi-config loop honours ctx like
 // the solo paths do.
 func TestRunConfigsCancellation(t *testing.T) {
 	prof := smallProf(t, "gcc", 2)
@@ -83,13 +83,13 @@ func TestRunConfigsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := RunConfigs(ctx, prof.Name, buf, []Config{Baseline(cpu.OOO())}, 7); err == nil {
-		t.Fatal("cancelled fused run returned nil error")
+		t.Fatal("cancelled sweep returned nil error")
 	}
 }
 
-// TestRunConfigsRandomizedMatchesSolo is the fused sweep's property
+// TestRunConfigsRandomizedMatchesSolo is the multi-config sweep's property
 // test: for randomized config sets — 1..16 lanes drawn with
-// replacement, so duplicates occur — the fused sweep must return,
+// replacement, so duplicates occur — the sweep must return,
 // positionally, the byte-for-byte result of a live RunApp run (same
 // seed and record count) of each lane.
 func TestRunConfigsRandomizedMatchesSolo(t *testing.T) {
@@ -120,7 +120,7 @@ func TestRunConfigsRandomizedMatchesSolo(t *testing.T) {
 			picks[i] = rng.Intn(len(pool))
 			cfgs[i] = pool[picks[i]]
 		}
-		fused, err := RunConfigs(context.Background(), prof.Name, buf, cfgs, 5)
+		batch, err := RunConfigs(context.Background(), prof.Name, buf, cfgs, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,9 +133,9 @@ func TestRunConfigsRandomizedMatchesSolo(t *testing.T) {
 				}
 				solo[pi] = want
 			}
-			if fused[i] != want {
-				t.Errorf("trial %d lane %d (%s): fused differs from solo\nfused: %+v\nsolo:  %+v",
-					trial, i, cfgs[i].Label(), fused[i], want)
+			if batch[i] != want {
+				t.Errorf("trial %d lane %d (%s): sweep differs from solo\nsweep: %+v\nsolo:  %+v",
+					trial, i, cfgs[i].Label(), batch[i], want)
 			}
 		}
 	}
