@@ -137,14 +137,20 @@ func (r *Runner) StoreStats() (store.Stats, bool) {
 }
 
 // RunTrace simulates one config against an externally supplied trace
-// buffer (an ingested upload), memoised in RAM and, when a store is
+// (an ingested upload), memoised in RAM and, when a store is
 // configured, on disk under the trace's content digest. digest must be
 // the canonical content address of the trace bytes; name labels the
-// stats (Stats.App) and reports.
-func (r *Runner) RunTrace(digest, name string, buf *replay.Buffer, cfg sim.Config) (sim.Stats, error) {
+// stats (Stats.App) and reports. load fetches and decodes the trace; it
+// runs at most once, and only when neither the memo nor the store
+// already holds the result, so a warm run never reads the trace.
+func (r *Runner) RunTrace(digest, name string, load func() (*replay.Buffer, error), cfg sim.Config) (sim.Stats, error) {
 	memoKey := fmt.Sprintf("trace:%s|%s|%+v|%d", digest, name, cfg, r.opts.Seed)
 	// runOne's batch is exactly []sim.Config{cfg}.
 	return r.runOne(memoKey, digest, cfg, func([]sim.Config) ([]sim.Stats, error) {
+		buf, err := load()
+		if err != nil {
+			return nil, err
+		}
 		st, err := sim.RunTrace(r.Context(), name, buf.Cursor(), cfg, r.opts.Seed)
 		if err != nil {
 			return nil, fmt.Errorf("exp: replaying trace %.12s on %s: %w", digest, cfg.Label(), err)

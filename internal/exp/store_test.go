@@ -8,6 +8,7 @@ import (
 
 	"sipt/internal/core"
 	"sipt/internal/cpu"
+	"sipt/internal/replay"
 	"sipt/internal/sim"
 	"sipt/internal/store"
 	"sipt/internal/tracefile"
@@ -199,7 +200,8 @@ func TestStoreCorruptResultRecomputes(t *testing.T) {
 
 // TestRunTraceStoreBacked asserts the ingested-trace path: RunTrace
 // memoises under the trace's content digest, persists, and a fresh
-// runner over the same store serves it without simulating.
+// runner over the same store serves it without simulating or loading
+// the trace.
 func TestRunTraceStoreBacked(t *testing.T) {
 	dir := t.TempDir()
 	prof, err := workload.Lookup("ycsb")
@@ -217,10 +219,13 @@ func TestRunTraceStoreBacked(t *testing.T) {
 	digest := store.KeyOfBytes(enc).String()
 	cfg := sim.SIPT(cpu.OOO(), 64, 4, core.ModeCombined)
 
+	loads := 0
+	load := func() (*replay.Buffer, error) { loads++; return buf, nil }
+
 	first := Options{Seed: 11, Workers: 1}
 	first.Store = openStore(t, dir)
 	r1 := NewRunner(first)
-	st1, err := r1.RunTrace(digest, "ycsb-upload", buf, cfg)
+	st1, err := r1.RunTrace(digest, "ycsb-upload", load, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +233,7 @@ func TestRunTraceStoreBacked(t *testing.T) {
 		t.Fatalf("Simulations = %d, want 1", r1.Simulations())
 	}
 	// Memoised in RAM: a repeat is free.
-	if st, err := r1.RunTrace(digest, "ycsb-upload", buf, cfg); err != nil || st != st1 {
+	if st, err := r1.RunTrace(digest, "ycsb-upload", load, cfg); err != nil || st != st1 {
 		t.Fatalf("memoised RunTrace: %v", err)
 	}
 	if r1.Simulations() != 1 {
@@ -238,7 +243,7 @@ func TestRunTraceStoreBacked(t *testing.T) {
 	second := Options{Seed: 11, Workers: 1}
 	second.Store = openStore(t, dir)
 	r2 := NewRunner(second)
-	st2, err := r2.RunTrace(digest, "ycsb-upload", buf, cfg)
+	st2, err := r2.RunTrace(digest, "ycsb-upload", load, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,5 +252,10 @@ func TestRunTraceStoreBacked(t *testing.T) {
 	}
 	if r2.Simulations() != 0 {
 		t.Fatalf("warm RunTrace simulated %d times, want 0", r2.Simulations())
+	}
+	// Only the one simulation read the trace: memo and store hits never
+	// call the loader.
+	if loads != 1 {
+		t.Fatalf("trace loaded %d times, want 1", loads)
 	}
 }

@@ -16,7 +16,7 @@ import (
 
 // testServer builds a server over a small, fast runner. Tests use short
 // traces so a run completes in tens of milliseconds.
-func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func testServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Runner == nil {
 		cfg.Runner = exp.NewRunner(exp.Options{Records: 2_000, Seed: 1, CacheEntries: 64})
@@ -30,7 +30,7 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
+func postJSON(t testing.TB, url, body string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -44,7 +44,7 @@ func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	return resp, []byte(buf.String())
 }
 
-func readAll(t *testing.T, resp *http.Response) string {
+func readAll(t testing.TB, resp *http.Response) string {
 	t.Helper()
 	var b strings.Builder
 	buf := make([]byte, 4096)

@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"sipt/internal/exp"
+	"sipt/internal/replay"
 	"sipt/internal/report"
 	"sipt/internal/store"
 	"sipt/internal/tracefile"
@@ -196,6 +197,7 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 // buildTraceRun validates a replay-an-ingested-trace RunRequest and
 // returns its job closure. The trace's embedded metadata supplies the
 // workload identity and scenario, so the request must not name them.
+// The job fetches and decodes the blob only when the run simulates.
 func (s *Server) buildTraceRun(req RunRequest) (runFunc, error) {
 	if s.traceStore == nil {
 		return nil, errors.New("trace replay disabled (start siptd with -store-dir)")
@@ -223,20 +225,23 @@ func (s *Server) buildTraceRun(req RunRequest) (runFunc, error) {
 		opts.Seed = base.Seed
 	}
 	return func(ctx context.Context, id string) (jobResult, error) {
-		// The blob is fetched inside the job, not at admission: a trace
-		// evicted between submit and run fails that one job cleanly.
-		blob, err := s.traceStore.Get(key)
-		if err != nil {
-			return jobResult{}, fmt.Errorf("no such trace %.12s (upload it via POST /v1/traces)", req.Trace)
+		// Existence is checked inside the job, not at admission: a trace
+		// evicted between submit and run fails that one job cleanly. The
+		// blob itself is fetched only if the run has to simulate — the
+		// memo and the result store are probed first, with the trace's
+		// identity taken from the index.
+		if !s.traceStore.Contains(key) {
+			return jobResult{}, errNoTrace(key)
 		}
-		meta, buf, err := tracefile.ReadBuffer(bytes.NewReader(blob))
+		meta, err := s.traceMeta(key)
 		if err != nil {
-			return jobResult{}, fmt.Errorf("stored trace %.12s unreadable: %v", req.Trace, err)
+			return jobResult{}, err
 		}
 		cfg := cfg
 		cfg.NoContig = meta.Scenario == vm.ScenarioNoContig
+		load := func() (*replay.Buffer, error) { return s.loadTrace(key, meta) }
 		r := s.runner.WithOptions(opts).WithContext(ctx).WithCheckpoint(s.laneCheckpoint(id))
-		st, err := r.RunTrace(key.String(), meta.App, buf, cfg)
+		st, err := r.RunTrace(key.String(), meta.App, load, cfg)
 		if err != nil {
 			return jobResult{}, err
 		}
@@ -244,4 +249,48 @@ func (s *Server) buildTraceRun(req RunRequest) (runFunc, error) {
 			req.Trace, meta.App, meta.Scenario, meta.Records, label)
 		return jobResult{tables: []*report.Table{summaryTable(st, note)}}, nil
 	}, nil
+}
+
+// errNoTrace fails a run whose trace is not, or no longer, resident.
+func errNoTrace(key store.Key) error {
+	return fmt.Errorf("no such trace %.12s (upload it via POST /v1/traces)", key)
+}
+
+// traceMeta returns a resident trace's identity. Upload and the
+// startup scan index every trace they accept, so this is normally a
+// map lookup; a blob the index has never seen falls back to reading
+// its header.
+func (s *Server) traceMeta(key store.Key) (tracefile.Meta, error) {
+	if info, ok := s.traces.get(key.String()); ok {
+		if sc, err := vm.ParseScenario(info.Scenario); err == nil {
+			return tracefile.Meta{App: info.App, Scenario: sc, Seed: info.Seed, Records: info.Records}, nil
+		}
+	}
+	blob, err := s.traceStore.Get(key)
+	if err != nil {
+		return tracefile.Meta{}, errNoTrace(key)
+	}
+	meta, err := tracefile.ReadMeta(bytes.NewReader(blob))
+	if err != nil {
+		return tracefile.Meta{}, fmt.Errorf("stored trace %.12s unreadable: %v", key, err)
+	}
+	return meta, nil
+}
+
+// loadTrace fetches and fully decodes a trace for a run that must
+// simulate, cross-checking the decoded header against the identity the
+// run was keyed under.
+func (s *Server) loadTrace(key store.Key, want tracefile.Meta) (*replay.Buffer, error) {
+	blob, err := s.traceStore.Get(key)
+	if err != nil {
+		return nil, errNoTrace(key)
+	}
+	meta, buf, err := tracefile.ReadBuffer(bytes.NewReader(blob))
+	if err != nil {
+		return nil, fmt.Errorf("stored trace %.12s unreadable: %v", key, err)
+	}
+	if meta != want {
+		return nil, fmt.Errorf("stored trace %.12s is %+v, indexed as %+v", key, meta, want)
+	}
+	return buf, nil
 }

@@ -11,6 +11,7 @@ import (
 	"sipt/internal/core"
 	"sipt/internal/cpu"
 	"sipt/internal/exp"
+	"sipt/internal/replay"
 	"sipt/internal/sim"
 	"sipt/internal/store"
 	"sipt/internal/tracefile"
@@ -20,7 +21,7 @@ import (
 
 // encodeTestTrace materialises a small trace and encodes it as a
 // tracefile blob, returning the bytes and their content digest.
-func encodeTestTrace(t *testing.T, app string, seed int64, records uint64) ([]byte, string) {
+func encodeTestTrace(t testing.TB, app string, seed int64, records uint64) ([]byte, string) {
 	t.Helper()
 	prof, err := workload.Lookup(app)
 	if err != nil {
@@ -37,7 +38,7 @@ func encodeTestTrace(t *testing.T, app string, seed int64, records uint64) ([]by
 	return enc, store.KeyOfBytes(enc).String()
 }
 
-func openTraceStore(t *testing.T, budget int64) *store.Store {
+func openTraceStore(t testing.TB, budget int64) *store.Store {
 	t.Helper()
 	s, err := store.Open(t.TempDir(), budget)
 	if err != nil {
@@ -46,7 +47,7 @@ func openTraceStore(t *testing.T, budget int64) *store.Store {
 	return s
 }
 
-func postRaw(t *testing.T, url string, body []byte) (*http.Response, []byte) {
+func postRaw(t testing.TB, url string, body []byte) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
@@ -126,7 +127,8 @@ func TestTraceIngestAndReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sim.SIPT(cpu.OOO(), 32, 2, core.ModeCombined)
-	want, err := exp.NewRunner(exp.Options{Seed: 1, Workers: 1}).RunTrace(digest, "libquantum", buf, cfg)
+	load := func() (*replay.Buffer, error) { return buf, nil }
+	want, err := exp.NewRunner(exp.Options{Seed: 1, Workers: 1}).RunTrace(digest, "libquantum", load, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,8 @@ package tracefile_test
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"runtime"
 	"testing"
 
 	"sipt/internal/sim"
@@ -46,6 +48,17 @@ func FuzzReadBuffer(f *testing.F) {
 		}
 		return c
 	}
+	// resum recomputes the header checksum (CRC32C over the fixed header
+	// up to the checksum field, then the app name), so a mutated field
+	// reaches the checks past the header.
+	resum := func(c []byte) []byte {
+		appLen := int(binary.LittleEndian.Uint32(c[36:]))
+		tab := crc32.MakeTable(crc32.Castagnoli)
+		crc := crc32.Checksum(c[:60], tab)
+		crc = crc32.Update(crc, tab, c[tracefile.HeaderSize:tracefile.HeaderSize+appLen])
+		binary.LittleEndian.PutUint32(c[60:], crc)
+		return c
+	}
 	f.Add(mut(8, 0xffff, 2))          // version skew
 	f.Add(mut(10, 1, 2))              // unknown flag
 	f.Add(mut(12, 1<<31, 4))          // scenario out of range
@@ -54,9 +67,31 @@ func FuzzReadBuffer(f *testing.F) {
 	f.Add(mut(32, 1<<30, 4))          // huge chunk size
 	f.Add(mut(36, 1<<20, 4))          // huge app length
 	f.Add(append(enc[:0:0], append(enc, 1, 2, 3)...)) // trailing bytes
+	// A validly checksummed header claiming 2^40 records (16 TiB) over
+	// a body of one short chunk: it must fail on the body, never on the
+	// allocation.
+	huge := resum(mut(24, 1<<40, 8))
+	f.Add(huge[:tracefile.HeaderSize+16+tracefile.ChunkHeaderSize+32])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// A header whose record count the input cannot hold is forged:
+		// measure what decoding it allocates (only then, since reading
+		// the allocator's stats stops the world). The records' storage
+		// is bounded by the input; only a chunk's read buffer, sized by a
+		// checksummed chunk header before its payload arrives, may exceed
+		// it, by at most one maximal chunk (16 MiB).
+		forged := len(data) >= 32 && binary.LittleEndian.Uint64(data[24:]) > uint64(len(data))/16
+		var before, after runtime.MemStats
+		if forged {
+			runtime.ReadMemStats(&before)
+		}
 		meta, dec, err := tracefile.ReadBuffer(bytes.NewReader(data))
+		if forged {
+			runtime.ReadMemStats(&after)
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4*uint64(len(data))+20<<20 {
+				t.Fatalf("decoding %d bytes with a forged count allocated %d bytes", len(data), alloc)
+			}
+		}
 		if err != nil {
 			return
 		}

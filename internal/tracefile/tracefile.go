@@ -266,10 +266,11 @@ type Reader struct {
 	src       io.Reader
 	meta      Meta
 	chunkRecs uint32
-	remaining uint64   // records not yet loaded into a chunk
-	chunk     []uint64 // decoded words of the current chunk
-	pos       int      // next word index within chunk
-	scratch   []byte   // chunk read buffer, reused
+	remaining uint64                // records not yet loaded into a chunk
+	chunk     []uint64              // decoded words of the current chunk
+	pos       int                   // next word index within chunk
+	scratch   []byte                // chunk read buffer, reused
+	hdr       [ChunkHeaderSize]byte // chunk header read buffer, reused
 }
 
 // NewReader validates the header (magic, version, flags, scenario
@@ -331,8 +332,7 @@ func (r *Reader) Meta() Meta { return r.meta }
 // io.EOF.
 func (r *Reader) loadChunk() error {
 	if r.remaining == 0 {
-		var b [1]byte
-		switch _, err := io.ReadFull(r.src, b[:]); err {
+		switch _, err := io.ReadFull(r.src, r.hdr[:1]); err {
 		case nil:
 			return fmt.Errorf("%w: trailing bytes after final chunk", ErrFormat)
 		case io.EOF:
@@ -341,8 +341,8 @@ func (r *Reader) loadChunk() error {
 			return fmt.Errorf("%w: reading past final chunk: %v", ErrFormat, err)
 		}
 	}
-	var hdr [ChunkHeaderSize]byte
-	if _, err := io.ReadFull(r.src, hdr[:]); err != nil {
+	hdr := r.hdr[:]
+	if _, err := io.ReadFull(r.src, hdr); err != nil {
 		return fmt.Errorf("%w: truncated with %d records missing: %v", ErrFormat, r.remaining, err)
 	}
 	nrecs := binary.LittleEndian.Uint32(hdr[0:])
@@ -407,15 +407,22 @@ func ReadMeta(src io.Reader) (Meta, error) {
 }
 
 // ReadBuffer decodes a whole stream into a replay buffer, verifying
-// every chunk. The allocation is grown chunk-by-chunk rather than
-// trusted to the header's record count, so a forged count cannot force
-// a huge up-front allocation.
+// every chunk. When src reports its unread length (bytes.Reader and
+// strings.Reader do), the words are allocated once, sized to the
+// header's record count capped by what the remaining bytes can hold;
+// otherwise they grow chunk by chunk. Either way the records' storage
+// is bounded by the bytes actually present, so a forged count cannot
+// force a huge allocation.
 func ReadBuffer(src io.Reader) (Meta, *replay.Buffer, error) {
 	r, err := NewReader(src)
 	if err != nil {
 		return Meta{}, nil, err
 	}
 	var words []uint64
+	if l, ok := src.(interface{ Len() int }); ok {
+		fit := uint64(l.Len()) / recordSize
+		words = make([]uint64, 0, 2*min(r.meta.Records, fit))
+	}
 	for {
 		if err := r.loadChunk(); err != nil {
 			if err == io.EOF {

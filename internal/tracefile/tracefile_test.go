@@ -59,6 +59,33 @@ func TestEncodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadBufferAllocs: decoding from a source that reports its length
+// allocates the records' storage once instead of growing it chunk by
+// chunk, and a source that does not decodes to the same buffer.
+func TestReadBufferAllocs(t *testing.T) {
+	meta := tracefile.Meta{App: "mcf", Scenario: vm.ScenarioNormal, Seed: 5}
+	buf := materialize(t, meta.App, meta.Scenario, meta.Seed, 50_000)
+	enc, err := tracefile.Encode(meta, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, _, err := tracefile.ReadBuffer(bytes.NewReader(enc)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 10 {
+		t.Fatalf("ReadBuffer of %d records: %.0f allocations, want <= 10", buf.Len(), allocs)
+	}
+	_, dec, err := tracefile.ReadBuffer(io.MultiReader(bytes.NewReader(enc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dec.Words(), buf.Words()) {
+		t.Fatal("decoding without a length hint changed the words")
+	}
+}
+
 // TestWriterMatchesEncode asserts the streaming Writer (unknown count,
 // backpatched header) produces the byte-identical file Encode builds
 // from a materialised buffer.
