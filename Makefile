@@ -79,9 +79,9 @@ chaos:
 	$(GO) test -race -short -run 'TestChaos' ./internal/fabric/
 
 # Native Go fuzzing over the pure bit-math and allocator invariants,
-# the buddy allocator, address space and core timing model against
-# their plain references, plus the lint loader/dataflow stack on
-# generated Go sources.
+# the buddy allocator, address space, core timing model and memo cache
+# against their plain references, plus the lint loader/dataflow stack
+# on generated Go sources. CI's fuzz job runs this target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIndexDelta -fuzztime=$(FUZZTIME) ./internal/memaddr/
 	$(GO) test -run='^$$' -fuzz=FuzzUnchangedBits -fuzztime=$(FUZZTIME) ./internal/memaddr/
@@ -89,6 +89,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzBuddy -fuzztime=$(FUZZTIME) ./internal/vm/
 	$(GO) test -run='^$$' -fuzz=FuzzAddressSpaceMatchesReference -fuzztime=$(FUZZTIME) ./internal/vm/
 	$(GO) test -run='^$$' -fuzz=FuzzCoreMatchesReference -fuzztime=$(FUZZTIME) ./internal/cpu/
+	$(GO) test -run='^$$' -fuzz=FuzzCacheMatchesReference -fuzztime=$(FUZZTIME) ./internal/memo/
 	$(GO) test -run='^$$' -fuzz=FuzzLoader -fuzztime=$(FUZZTIME) ./internal/lint/
 	$(GO) test -run='^$$' -fuzz=FuzzReadBuffer -fuzztime=$(FUZZTIME) ./internal/tracefile/
 	$(GO) test -run='^$$' -fuzz=FuzzCanonicalRoundTrip -fuzztime=$(FUZZTIME) ./internal/store/

@@ -26,7 +26,7 @@ func TestBoundedAcrossManyDistinctKeys(t *testing.T) {
 		if err != nil || v != i*2 {
 			t.Fatalf("Do(key-%d) = %d, %v", i, v, err)
 		}
-		if n := c.Len(); n > capTotal {
+		if n := c.Stats().Entries; n > capTotal {
 			t.Fatalf("after %d inserts cache holds %d entries, cap %d", i+1, n, capTotal)
 		}
 	}
@@ -104,7 +104,7 @@ func TestErrorsAreNotCached(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("first Do err = %v, want boom", err)
 	}
-	if n := c.Len(); n != 0 {
+	if n := c.Stats().Entries; n != 0 {
 		t.Fatalf("failed entry retained: Len = %d", n)
 	}
 	v, err := c.Do("k", func() (int, error) { calls++; return 7, nil })
@@ -145,7 +145,7 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := c.Len(); n > 128 {
+	if n := c.Stats().Entries; n > 128 {
 		t.Errorf("entries = %d exceeds cap", n)
 	}
 }
@@ -160,7 +160,7 @@ func TestCapOneShard(t *testing.T) {
 			t.Fatalf("Do = %d, %v", v, err)
 		}
 	}
-	if n := c.Len(); n > 2 {
+	if n := c.Stats().Entries; n > 2 {
 		t.Errorf("entries = %d, cap 2", n)
 	}
 }
@@ -188,7 +188,7 @@ func TestInjectedComputeFaultNotCached(t *testing.T) {
 	if calls != 0 {
 		t.Fatalf("compute ran %d times under an injected failure, want 0", calls)
 	}
-	if n := c.Len(); n != 0 {
+	if n := c.Stats().Entries; n != 0 {
 		t.Fatalf("injected failure retained: Len = %d", n)
 	}
 
@@ -263,7 +263,61 @@ func TestSingleflightUnderInjectedFaults(t *testing.T) {
 	if okSeen.Load() == 0 {
 		t.Error("no successful computes")
 	}
-	if n := c.Len(); n > 32 {
+	if n := c.Stats().Entries; n > 32 {
 		t.Errorf("entries = %d exceeds cap under fault+eviction churn", n)
+	}
+}
+
+// TestInflightEntryNotEvicted pins that eviction pressure never drops a
+// key whose compute is still running: with one entry of capacity, a
+// completed "other" must not push out the in-flight "slow", so a second
+// Do of "slow" joins the first flight instead of computing again.
+func TestInflightEntryNotEvicted(t *testing.T) {
+	c := New[int](1, 1)
+	var computes atomic.Int64
+	started, release := make(chan struct{}), make(chan struct{})
+	slow := func() (int, error) {
+		if computes.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+		return 42, nil
+	}
+	results := make(chan int, 2)
+	call := func() {
+		v, err := c.Do("slow", slow)
+		if err != nil {
+			t.Error(err)
+		}
+		results <- v
+	}
+	go call()
+	<-started
+	if v, err := c.Do("other", func() (int, error) { return 1, nil }); err != nil || v != 1 {
+		t.Fatalf("Do(other) = %d, %v", v, err)
+	}
+	go call()
+	close(release)
+	for i := 0; i < 2; i++ {
+		if v := <-results; v != 42 {
+			t.Errorf("caller %d got %d, want 42", i, v)
+		}
+	}
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("slow computed %d times, want 1", n)
+	}
+}
+
+// TestPanickingComputeIsForgotten: a compute that panics leaves no
+// entry behind that would answer later callers with a zero value.
+func TestPanickingComputeIsForgotten(t *testing.T) {
+	c := New[int](4, 1)
+	func() {
+		defer func() { _ = recover() }()
+		_, _ = c.Do("k", func() (int, error) { panic("boom") })
+	}()
+	v, err := c.Do("k", func() (int, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Fatalf("Do after a panicked compute = %d, %v; want 7, nil", v, err)
 	}
 }

@@ -1,12 +1,12 @@
 package replay
 
 import (
-	"container/list"
 	"errors"
-	"sync"
+	"fmt"
 	"sync/atomic"
 
 	"sipt/internal/fault"
+	"sipt/internal/memo"
 	"sipt/internal/vm"
 )
 
@@ -63,42 +63,15 @@ const DefaultBudgetBytes = 256 << 20
 // granularity: buffers are megabytes each, so a few shards suffice.
 const defaultPoolShards = 8
 
-// poolEntry is one key's materialisation. The sync.Once provides
-// singleflight: concurrent Gets of one key share a single generator
-// pass.
-type poolEntry struct {
-	key  Key
-	once sync.Once
-	buf  *Buffer
-	err  error
-	// resident is set (under the shard lock) once the buffer completed
-	// and its bytes are accounted; only resident entries are evictable.
-	resident bool
-}
-
-// poolShard is one lock domain: lookup map plus an LRU list (front =
-// most recently used) and the shard's slice of the byte budget.
-type poolShard struct {
-	mu     sync.Mutex
-	items  map[Key]*list.Element
-	order  *list.List
-	budget int64
-	bytes  int64
-}
-
-// Pool is the sharded, byte-budgeted trace cache. Failed
-// materialisations are never cached: waiters observe the error, later
-// Gets retry. The pool alone decides what it can hold: a key too long
-// for a shard's budget is refused (ErrOversize), and a buffer that
-// turns out larger than the budget anyway is returned to callers but
-// not retained, so resident bytes never exceed the budget.
+// Pool is the byte-budgeted trace cache: a memo.Cache charging each
+// buffer its bytes, so materialisations are singleflight and failures
+// are never cached. The pool alone decides what it holds: a key too long
+// for a shard's budget is refused (ErrOversize), and a buffer larger
+// than the budget anyway is returned to callers but not retained.
 type Pool struct {
-	shards    []poolShard
-	mat       Materializer
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
-	oversize  atomic.Uint64
+	cache   *memo.Cache[*Buffer]
+	mat     Materializer
+	refused atomic.Uint64 // keys answered ErrOversize
 }
 
 // NewPool creates a pool bounded to budgetBytes (non-positive =
@@ -114,159 +87,38 @@ func NewPool(budgetBytes int64, nshards int, mat Materializer) *Pool {
 	if nshards <= 0 {
 		nshards = defaultPoolShards
 	}
-	p := &Pool{shards: make([]poolShard, nshards), mat: mat}
-	per := budgetBytes / int64(nshards)
-	if per < 1 {
-		per = 1
-	}
-	for i := range p.shards {
-		p.shards[i].items = make(map[Key]*list.Element)
-		p.shards[i].order = list.New()
-		p.shards[i].budget = per
-	}
-	return p
+	return &Pool{cache: memo.NewCosted(budgetBytes, nshards, (*Buffer).Bytes), mat: mat}
 }
 
-// shardFor hashes the key with FNV-1a over its fields. A fixed hash
-// keeps shard assignment — and therefore eviction order under pressure
-// — identical across runs (the same determinism argument as
-// memo.Cache).
-func (p *Pool) shardFor(k Key) *poolShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(k.App); i++ {
-		h ^= uint64(k.App[i])
-		h *= prime64
-	}
-	for _, v := range [3]uint64{uint64(k.Scenario), uint64(k.Seed), k.Records} {
-		for s := 0; s < 64; s += 8 {
-			h ^= v >> s & 0xff
-			h *= prime64
-		}
-	}
-	return &p.shards[h%uint64(len(p.shards))]
+// cacheKey renders a Key for the cache; App is quoted so no app name
+// can alias another key.
+//
+//sipt:memokey
+func cacheKey(k Key) string {
+	return fmt.Sprintf("%q|%d|%d|%d", k.App, k.Scenario, k.Seed, k.Records)
 }
 
 // Get returns the materialised buffer for key, building it on first
-// use. Concurrent Gets of the same key share one materialisation. A key
-// whose Records exceed one shard's budget fails with ErrOversize
-// without materialising; that check precedes both the fault draw and
-// the hit/miss accounting. Under an armed replay.pool.evict fault, a
-// seeded fraction of calls fail with ErrEvicted after dropping the
-// key's resident buffer.
+// use. A key whose Records exceed one shard's budget fails with
+// ErrOversize before the fault draw and the hit/miss accounting. Under
+// an armed replay.pool.evict fault, a seeded fraction of calls fail with
+// ErrEvicted after dropping the key's resident buffer.
 func (p *Pool) Get(key Key) (*Buffer, error) {
-	s := p.shardFor(key)
-	if key.Records > uint64(s.budget)/BytesPerRecord {
-		p.oversize.Add(1)
+	if key.Records > uint64(p.cache.ShardBudget())/BytesPerRecord {
+		p.refused.Add(1)
 		return nil, ErrOversize
 	}
+	k := cacheKey(key)
 	if evictStorm.Fire() {
-		p.dropResident(s, key)
+		p.cache.Evict(k)
 		return nil, ErrEvicted
 	}
-
-	s.mu.Lock()
-	el, ok := s.items[key]
-	var e *poolEntry
-	if ok {
-		p.hits.Add(1)
-		s.order.MoveToFront(el)
-		e = el.Value.(*poolEntry)
-	} else {
-		p.misses.Add(1)
-		e = &poolEntry{key: key}
-		el = s.order.PushFront(e)
-		s.items[key] = el
-	}
-	s.mu.Unlock()
-
-	e.once.Do(func() {
-		e.buf, e.err = p.mat(key)
-		s.mu.Lock()
-		cur, ok := s.items[e.key]
-		if ok && cur.Value.(*poolEntry) == e {
-			if e.err != nil {
-				// Forget failures so the key can be retried.
-				s.order.Remove(cur)
-				delete(s.items, e.key)
-			} else {
-				if e.buf.Bytes() > s.budget {
-					// The budget janitor will drop this entry on the spot:
-					// the caller keeps its reference, but the pool declined
-					// to retain it. Record that, it was silent before.
-					p.oversize.Add(1)
-				}
-				e.resident = true
-				s.bytes += e.buf.Bytes()
-				p.enforceBudgetLocked(s)
-			}
-		}
-		s.mu.Unlock()
-	})
-	return e.buf, e.err
-}
-
-// dropResident removes key's completed buffer from its shard,
-// simulating an eviction race for the injected storm. In-flight entries
-// are left alone: their bytes are not yet accounted, and yanking a
-// shared singleflight mid-materialisation would fail other waiters too.
-func (p *Pool) dropResident(s *poolShard, key Key) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	if !ok {
-		return
-	}
-	e := el.Value.(*poolEntry)
-	if !e.resident {
-		return
-	}
-	s.order.Remove(el)
-	delete(s.items, key)
-	s.bytes -= e.buf.Bytes()
-	p.evictions.Add(1)
-}
-
-// enforceBudgetLocked evicts resident buffers, least recently used
-// first, until the shard is within budget. In-flight entries carry no
-// accounted bytes and are skipped. The most recently used entry is
-// evictable too: a single buffer over budget is dropped immediately
-// (callers keep their reference; the pool just declines to retain it).
-func (p *Pool) enforceBudgetLocked(s *poolShard) {
-	for el := s.order.Back(); el != nil && s.bytes > s.budget; {
-		prev := el.Prev()
-		e := el.Value.(*poolEntry)
-		if e.resident {
-			s.order.Remove(el)
-			delete(s.items, e.key)
-			s.bytes -= e.buf.Bytes()
-			p.evictions.Add(1)
-		}
-		el = prev
-	}
+	return p.cache.Do(k, func() (*Buffer, error) { return p.mat(key) })
 }
 
 // Stats snapshots the pool counters.
 func (p *Pool) Stats() Stats {
-	st := Stats{
-		Hits:      p.hits.Load(),
-		Misses:    p.misses.Load(),
-		Evictions: p.evictions.Load(),
-		Oversize:  p.oversize.Load(),
-	}
-	for i := range p.shards {
-		s := &p.shards[i]
-		s.mu.Lock()
-		st.Bytes += s.bytes
-		for el := s.order.Front(); el != nil; el = el.Next() {
-			if el.Value.(*poolEntry).resident {
-				st.Entries++
-			}
-		}
-		s.mu.Unlock()
-	}
-	return st
+	st := p.cache.Stats()
+	return Stats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
+		Oversize: p.refused.Load() + st.Oversize, Entries: st.Entries, Bytes: st.Cost}
 }

@@ -101,18 +101,20 @@ func (j *Job) setRunning(now int64) {
 	j.mu.Unlock()
 }
 
-// finish moves the job to a terminal state and closes done, returning
-// the run latency in nanoseconds (0 if the job never started) and
-// whether this call settled the job. It is idempotent: once terminal, a
-// job's state never changes and done is never closed twice — the first
-// settler wins, later calls report settled=false so they skip their
-// metrics. (A panicking job can race its observer against runJob's own
-// bookkeeping; idempotency makes the pair safe by construction.)
-func (j *Job) finish(st Status, res jobResult, errMsg string, now int64) (int64, bool) {
+// finish moves the job to a terminal state and closes done, reporting
+// whether this call settled the job. Before done closes, the settling
+// call runs record with the run latency in nanoseconds (0 if the job
+// never started), so a waiter on Done() sees the terminal metrics
+// already counted. It is idempotent: once terminal, a job's state never
+// changes and done is never closed twice — the first settler wins, and
+// later calls record nothing. (A panicking job can race its observer
+// against runJob's own bookkeeping; idempotency makes the pair safe by
+// construction.)
+func (j *Job) finish(st Status, res jobResult, errMsg string, now int64, record func(latNS int64)) bool {
 	j.mu.Lock()
 	if j.status.Terminal() {
 		j.mu.Unlock()
-		return 0, false
+		return false
 	}
 	j.status = st
 	j.result = res
@@ -123,8 +125,9 @@ func (j *Job) finish(st Status, res jobResult, errMsg string, now int64) (int64,
 		lat = now - j.startedNS
 	}
 	j.mu.Unlock()
+	record(lat)
 	close(j.done)
-	return lat, true
+	return true
 }
 
 // JobView is the JSON shape of GET /v1/jobs/{id}. Field order is the

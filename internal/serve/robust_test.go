@@ -159,6 +159,35 @@ func TestPanickedJobFailsNotCompleted(t *testing.T) {
 	}
 }
 
+// TestTerminalCountersSettleBeforeDone: by the time Done() fires, the
+// job's terminal counter and its latency observation are already
+// recorded, for every way a job can end. A waiter reading /metrics
+// right after its job settles must never see the job uncounted.
+func TestTerminalCountersSettleBeforeDone(t *testing.T) {
+	s, _ := testServer(t, Config{Workers: 1})
+	cases := []struct {
+		name                   string
+		run                    runFunc
+		done, failed, canceled uint64
+	}{
+		{"done", func(context.Context, string) (jobResult, error) { return jobResult{}, nil }, 1, 0, 0},
+		{"failed", func(context.Context, string) (jobResult, error) { return jobResult{}, errors.New("boom") }, 1, 1, 0},
+		{"canceled", func(context.Context, string) (jobResult, error) { return jobResult{}, context.Canceled }, 1, 1, 1},
+		{"panicked", func(context.Context, string) (jobResult, error) { panic("kaboom") }, 1, 2, 1},
+	}
+	for i, c := range cases {
+		j, err := s.submit("run", sched.Interactive, 0, nil, c.run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		got := [4]uint64{s.jobsDone.Load(), s.jobsFailed.Load(), s.jobsCanceled.Load(), s.latency.Count()}
+		if want := [4]uint64{c.done, c.failed, c.canceled, uint64(i + 1)}; got != want {
+			t.Fatalf("%s: after Done() done/failed/canceled/latency = %v, want %v", c.name, got, want)
+		}
+	}
+}
+
 // TestTransientRetrySucceeds: a job failing twice with fault.Transient
 // then succeeding must settle done after exactly the documented backoff
 // schedule (10ms, 20ms), with the retries counted.

@@ -417,9 +417,7 @@ func (s *Server) submit(kind string, pri sched.Priority, timeout time.Duration,
 			s.nextID = id // the ID is burned; recovery tolerates the hole
 			s.admitMu.Unlock()
 			j.cancel()
-			if _, settled := j.finish(StatusFailed, jobResult{}, jerr.Error(), nowNS()); settled {
-				s.jobsFailed.Inc()
-			}
+			j.finish(StatusFailed, jobResult{}, jerr.Error(), nowNS(), func(int64) { s.jobsFailed.Inc() })
 			return nil, fmt.Errorf("%w: %v", errNotDurable, jerr)
 		}
 		s.nextID = id
@@ -442,10 +440,7 @@ func (s *Server) submit(kind string, pri sched.Priority, timeout time.Duration,
 func (s *Server) panicObserver(j *Job) func(v any, stack []byte) {
 	return func(v any, stack []byte) {
 		j.cancel()
-		lat, settled := j.finish(StatusFailed, jobResult{}, fmt.Sprintf("panic: %v\n\n%s", v, stack), nowNS())
-		if settled {
-			s.jobsFailed.Inc()
-			s.observeLatency(lat / 1e6)
+		if s.settle(j, StatusFailed, jobResult{}, fmt.Sprintf("panic: %v\n\n%s", v, stack)) {
 			s.journalFinish(j, jobResult{})
 		}
 	}
@@ -480,23 +475,35 @@ func (s *Server) runJob(j *Job, ctx context.Context, run runFunc) {
 		s.jobRetries.Inc()
 		res, err = run(ctx, j.id)
 	}
-	var latNS int64
 	var settled bool
 	switch {
 	case err == nil:
-		latNS, settled = j.finish(StatusDone, res, "", nowNS())
-		s.jobsDone.Inc()
+		settled = s.settle(j, StatusDone, res, "")
 	case errors.Is(err, context.Canceled):
-		latNS, settled = j.finish(StatusCanceled, jobResult{}, err.Error(), nowNS())
-		s.jobsCanceled.Inc()
+		settled = s.settle(j, StatusCanceled, jobResult{}, err.Error())
 	default:
-		latNS, settled = j.finish(StatusFailed, jobResult{}, err.Error(), nowNS())
-		s.jobsFailed.Inc()
+		settled = s.settle(j, StatusFailed, jobResult{}, err.Error())
 	}
 	if settled {
-		s.observeLatency(latNS / 1e6)
 		s.journalFinish(j, res)
 	}
+}
+
+// settle finishes a job that ran (or panicked) on a worker. If this call
+// settled it, the status's terminal counter and the job's latency are
+// recorded before Done() fires.
+func (s *Server) settle(j *Job, st Status, res jobResult, errMsg string) bool {
+	return j.finish(st, res, errMsg, nowNS(), func(latNS int64) {
+		switch st {
+		case StatusDone:
+			s.jobsDone.Inc()
+		case StatusCanceled:
+			s.jobsCanceled.Inc()
+		default:
+			s.jobsFailed.Inc()
+		}
+		s.observeLatency(latNS / 1e6)
+	})
 }
 
 // ewmaWeight is the exponential moving average's new-sample weight
