@@ -80,7 +80,8 @@ chaos:
 
 # Native Go fuzzing over the pure bit-math and allocator invariants,
 # the buddy allocator, address space, core timing model and memo cache
-# against their plain references, plus the lint loader/dataflow stack
+# against their plain references, replayed workload programs against
+# live generators, plus the lint loader/dataflow stack
 # on generated Go sources. CI's fuzz job runs this target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIndexDelta -fuzztime=$(FUZZTIME) ./internal/memaddr/
@@ -88,6 +89,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzAlignAndLog2 -fuzztime=$(FUZZTIME) ./internal/memaddr/
 	$(GO) test -run='^$$' -fuzz=FuzzBuddy -fuzztime=$(FUZZTIME) ./internal/vm/
 	$(GO) test -run='^$$' -fuzz=FuzzAddressSpaceMatchesReference -fuzztime=$(FUZZTIME) ./internal/vm/
+	$(GO) test -run='^$$' -fuzz=FuzzProgramMatchesLive -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzCoreMatchesReference -fuzztime=$(FUZZTIME) ./internal/cpu/
 	$(GO) test -run='^$$' -fuzz=FuzzCacheMatchesReference -fuzztime=$(FUZZTIME) ./internal/memo/
 	$(GO) test -run='^$$' -fuzz=FuzzLoader -fuzztime=$(FUZZTIME) ./internal/lint/

@@ -26,18 +26,14 @@ func main() {
 	const seed = 1
 	mix := workload.Mixes()[5] // h264ref, cactusADM, calculix, tonto
 
-	baseCfg := sim.Baseline(cpu.OOO())
-	baseCfg.Cores = 4
-	base, err := sim.RunMix(context.Background(), mix, baseCfg, vm.ScenarioNormal, seed, records)
+	// One call runs both configs, so each core's trace is drawn once and
+	// replayed for the SIPT run.
+	cfgs := []sim.Config{sim.Baseline(cpu.OOO()), sim.SIPT(cpu.OOO(), 32, 2, core.ModeCombined)}
+	sts, err := sim.RunMixConfigs(context.Background(), mix, cfgs, vm.ScenarioNormal, seed, records)
 	if err != nil {
 		log.Fatal(err)
 	}
-	siptCfg := sim.SIPT(cpu.OOO(), 32, 2, core.ModeCombined)
-	siptCfg.Cores = 4
-	sipt, err := sim.RunMix(context.Background(), mix, siptCfg, vm.ScenarioNormal, seed, records)
-	if err != nil {
-		log.Fatal(err)
-	}
+	base, sipt := sts[0], sts[1]
 
 	fmt.Printf("mix %s on a quad-core OOO system (shared 8 MiB LLC)\n\n", mix.Name)
 	fmt.Printf("%-12s  %12s  %12s  %9s  %10s\n", "core/app", "baseline-IPC", "SIPT-IPC", "speedup", "fast-frac")

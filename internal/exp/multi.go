@@ -12,9 +12,11 @@ import (
 	"sipt/internal/workload"
 )
 
-// runMix runs one quad-core mix under the runner's options.
-func (r *Runner) runMix(mix workload.Mix, cfg sim.Config) (sim.MixStats, error) {
-	return sim.RunMix(r.Context(), mix, cfg, vm.ScenarioNormal, r.opts.Seed, r.opts.records())
+// runMix runs one quad-core mix under each config, in one
+// sim.RunMixConfigs call so the configs share each core's recorded
+// trace.
+func (r *Runner) runMix(mix workload.Mix, cfgs []sim.Config) ([]sim.MixStats, error) {
+	return sim.RunMixConfigs(r.Context(), mix, cfgs, vm.ScenarioNormal, r.opts.Seed, r.opts.records())
 }
 
 // Fig15 regenerates Fig. 15: quad-core SIPT+IDB over the Tab. III
@@ -47,21 +49,18 @@ func Fig15(r *Runner) ([]*report.Table, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 
-			baseCfg := sim.Baseline(cpu.OOO())
-			baseCfg.Cores = 4
-			base, err := r.runMix(mix, baseCfg)
+			cfgs := []sim.Config{sim.Baseline(cpu.OOO())}
+			for _, g := range geoms {
+				cfgs = append(cfgs, sim.SIPT(cpu.OOO(), g[0], g[1], core.ModeCombined))
+			}
+			sts, err := r.runMix(mix, cfgs)
 			if err != nil {
 				errs[i] = err
 				return
 			}
+			base := sts[0]
 			for gi, g := range geoms {
-				cfg := sim.SIPT(cpu.OOO(), g[0], g[1], core.ModeCombined)
-				cfg.Cores = 4
-				ms, err := r.runMix(mix, cfg)
-				if err != nil {
-					errs[i] = err
-					return
-				}
+				ms := sts[gi+1]
 				rows[i].ipc[gi] = ms.SumIPC() / base.SumIPC()
 				if g[0] == 32 && g[1] == 2 {
 					rows[i].extra = ms.ExtraAccessRate()

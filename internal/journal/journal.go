@@ -18,9 +18,14 @@
 //	[u32 payload len][u32 CRC32C(payload)][payload JSON Record]
 //
 // Appends go to the highest-numbered segment. Records that gate an
-// acknowledgement (admitted, finished, canceled) are fsynced; progress
-// records (started, lane) are not — losing one re-runs work, never
-// corrupts it. A torn tail — crash mid-write — fails the CRC or length
+// acknowledgement (admitted before the 202, canceled before the DELETE
+// is acknowledged) are fsynced. finished is fsynced too but gates
+// nothing: siptd settles a job — its view already shows the terminal
+// status — before it appends finished, and a crash in between replays
+// the job as interrupted, so it resumes under its original ID and
+// recomputes byte-identically from its lane checkpoints. Progress
+// records (started, lane) are not fsynced — losing one re-runs work,
+// never corrupts it. A torn tail — crash mid-write — fails the CRC or length
 // check and is truncated at the next Open, not fatal. A segment whose
 // header names a different magic or version is fatal with an error
 // naming the path: operators must not silently lose a journal they

@@ -128,7 +128,11 @@ func TestFinishedJobSurvivesRestart(t *testing.T) {
 // died mid-flight (admitted + started + every lane checkpointed, no
 // finished record) is resubmitted at startup and completes from the
 // store alone — byte-identical tables, zero re-simulations — with the
-// resume visible on serve_sweeps_resumed_total.
+// resume visible on serve_sweeps_resumed_total. This is also the
+// journal a crash leaves between runJob settling a job (GET already
+// shows done, as the reference read below did) and journalFinish
+// appending its finished record: the client's result comes back
+// byte-identical under the same ID.
 func TestInterruptedSweepResumesFromCheckpoints(t *testing.T) {
 	h := newDurableHarness(t)
 

@@ -191,104 +191,123 @@ func (m MixStats) ExtraAccessRate() float64 {
 // traces are recycled until the last core completes its initial trace;
 // each core's IPC is snapshotted when its own first pass completes.
 // Context semantics match RunApp: the interleave loop polls ctx every
-// cpu.CtxCheckInterval steps.
+// cpu.CtxCheckInterval steps. RunMix is RunMixConfigs with one config.
 func RunMix(ctx context.Context, mix workload.Mix, cfg Config, sc vm.Scenario, seed int64, recordsPerCore uint64) (MixStats, error) {
+	sts, err := RunMixConfigs(ctx, mix, []Config{cfg}, sc, seed, recordsPerCore)
+	if err != nil {
+		return MixStats{}, err
+	}
+	return sts[0], nil
+}
+
+// RunMixConfigs runs one mix under each config in turn, each on its own
+// fresh physical memory, exactly as a RunMix per config would. Each
+// core's trace is drawn once: the first config records the virtual half
+// of every core's first pass as a workload.Program while running it,
+// and every recycled pass and every later config replays those
+// programs, translating each VA live against that run's own buddy
+// allocator so every frame matches a fresh draw. The programs are
+// dropped when the call returns.
+func RunMixConfigs(ctx context.Context, mix workload.Mix, cfgs []Config, sc vm.Scenario, seed int64, recordsPerCore uint64) ([]MixStats, error) {
+	var profs [4]workload.Profile
+	for i, name := range mix.Apps {
+		p, err := workload.Lookup(name)
+		if err != nil {
+			return nil, err
+		}
+		profs[i] = p
+	}
+	return runMixConfigs(ctx, mix, profs, cfgs, sc, seed, recordsPerCore)
+}
+
+// runMixConfigs is RunMixConfigs over explicit profiles (tests shrink
+// footprints and churn periods through it).
+func runMixConfigs(ctx context.Context, mix workload.Mix, profs [4]workload.Profile, cfgs []Config, sc vm.Scenario, seed int64, recordsPerCore uint64) ([]MixStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg.Cores = 4
-	if err := cfg.Validate(); err != nil {
-		return MixStats{}, err
+	cfgs, err := quadConfigs(cfgs)
+	if err != nil {
+		return nil, err
 	}
 	if recordsPerCore == 0 {
 		recordsPerCore = DefaultRecords
 	}
-
-	profs := make([]workload.Profile, 4)
-	for i, name := range mix.Apps {
-		p, err := workload.Lookup(name)
+	var progs [4]*workload.Program
+	out := make([]MixStats, len(cfgs))
+	for k, cfg := range cfgs {
+		ms, err := runMix(ctx, mix, profs, cfg, sc, seed, recordsPerCore, &progs)
 		if err != nil {
-			return MixStats{}, err
+			return nil, err
 		}
-		profs[i] = p
+		out[k] = ms
 	}
-	sys := NewSystem(sc, seed, profs...)
+	return out, nil
+}
 
-	var gens [4]*workload.Generator
-	for i := range gens {
-		gen, err := workload.NewGenerator(profs[i], sys, seed+int64(i), recordsPerCore)
+// quadConfigs returns quad-core copies of cfgs, validated.
+func quadConfigs(cfgs []Config) ([]Config, error) {
+	out := make([]Config, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg.Cores = 4
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		out[i] = cfg
+	}
+	return out, nil
+}
+
+// mixLane is one core of a quad-core mix.
+type mixLane struct {
+	gen      *workload.Generator
+	h        *Hierarchy
+	core     *cpu.Core
+	consumed uint64
+	done     bool
+	snapshot cpu.Result
+}
+
+// runMix runs one config of a mix. Cores with a program in progs replay
+// it; the others record one, which is stored back into progs once their
+// first pass completes.
+func runMix(ctx context.Context, mix workload.Mix, profs [4]workload.Profile, cfg Config, sc vm.Scenario, seed int64, recordsPerCore uint64, progs *[4]*workload.Program) (MixStats, error) {
+	sys := NewSystem(sc, seed, profs[:]...)
+	var lanes [4]mixLane
+	for i := range lanes {
+		var gen *workload.Generator
+		var err error
+		if progs[i] != nil {
+			gen, err = progs[i].Replay(sys)
+		} else {
+			gen, err = workload.Record(profs[i], sys, seed+int64(i), recordsPerCore)
+		}
 		if err != nil {
 			return MixStats{}, err
 		}
-		gens[i] = gen
+		lanes[i].gen = gen
 	}
 	acct := energy.New(cfg.energyParams())
 	llc := newSharedLLC(cfg.llcConfig())
 	mem := dram.New(dramConfig())
-
-	type lane struct {
-		gen      *workload.Generator
-		h        *Hierarchy
-		core     *cpu.Core
-		consumed uint64
-		done     bool
-		snapshot cpu.Result
-	}
-	lanes := make([]*lane, 4)
 	for i := range lanes {
-		h := newHierarchy(cfg, seed+int64(i), llc, mem, acct)
-		lanes[i] = &lane{gen: gens[i], h: h, core: cpu.NewCore(cfg.Core, h)}
+		lanes[i].h = newHierarchy(cfg, seed+int64(i), llc, mem, acct)
+		lanes[i].core = cpu.NewCore(cfg.Core, lanes[i].h)
 	}
 
-	// Interleave: always step the core that is earliest in simulated
-	// time, so shared-structure contention is seen in rough time order.
-	// Finished cores stay in the rotation: their trace is recycled
-	// (generator restarted) so they keep generating LLC/DRAM contention
-	// for the stragglers, per the paper's methodology; only their IPC
-	// snapshot is frozen at the end of their own first pass.
-	remaining := 4
-	var steps uint64
-	var rec trace.Record
-	for remaining > 0 {
-		if steps&(cpu.CtxCheckInterval-1) == 0 {
-			if err := ctx.Err(); err != nil {
-				return MixStats{}, fmt.Errorf("sim: mix %s: %w", mix.Name, err)
-			}
+	if li, err := interleave(ctx, &lanes); err != nil {
+		if li < 0 {
+			return MixStats{}, fmt.Errorf("sim: mix %s: %w", mix.Name, err)
 		}
-		steps++
-		li := -1
-		var minCycles uint64
-		for i, l := range lanes {
-			if li == -1 || l.core.Cycles() < minCycles {
-				li = i
-				minCycles = l.core.Cycles()
-			}
-		}
-		l := lanes[li]
-		if err := l.gen.NextInto(&rec); err != nil {
-			if !errors.Is(err, io.EOF) {
-				return MixStats{}, fmt.Errorf("sim: mix %s core %d: %w", mix.Name, li, err)
-			}
-			if !l.done {
-				// First pass complete: snapshot this core's result.
-				l.snapshot = l.core.Result()
-				l.done = true
-				remaining--
-				if remaining == 0 {
-					break
-				}
-			}
-			// Recycle and keep stepping: the generator restarts (same
-			// program, fresh mapping, as rerunning the binary would).
-			l.gen.Reset()
-			continue
-		}
-		l.core.StepPtr(&rec)
-		l.consumed++
+		return MixStats{}, fmt.Errorf("sim: mix %s core %d: %w", mix.Name, li, err)
 	}
 
 	ms := MixStats{Config: cfg, Mix: mix}
-	for i, l := range lanes {
+	for i := range lanes {
+		l := &lanes[i]
+		if progs[i] == nil {
+			progs[i] = l.gen.Program()
+		}
 		ms.PerCore[i] = collect(cfg, mix.Apps[i], l.snapshot, l.h, acct)
 		ms.Consumed[i] = l.consumed
 		if l.snapshot.Cycles > ms.Cycles {
@@ -303,4 +322,78 @@ func RunMix(ctx context.Context, mix workload.Mix, cfg Config, sc vm.Scenario, s
 		}
 	}
 	return ms, nil
+}
+
+// interleave runs the mix's cores until each has finished its first
+// pass. It always steps the core that is earliest in simulated time
+// (ties to the lower index), so shared-structure contention is seen in
+// rough time order. Finished cores stay in the rotation: their trace is
+// recycled (generator reset) so they keep generating LLC/DRAM
+// contention for the stragglers, per the paper's methodology; only
+// their IPC snapshot is frozen at the end of their own first pass.
+//
+// The chosen core keeps stepping while it stays strictly earlier than
+// every lower-index core and no later than every higher-index one —
+// exactly while the argmin scan would pick it again, since no other
+// core's Cycles changes meanwhile and Cycles never decreases — so the
+// step order is the scan's, with one scan per run of steps. ctx is
+// polled every cpu.CtxCheckInterval steps. On error it returns the
+// failing core's index, or -1 for a context error.
+//
+//sipt:hotpath
+func interleave(ctx context.Context, lanes *[4]mixLane) (int, error) {
+	remaining := len(lanes)
+	var steps uint64
+	var rec trace.Record
+	for {
+		li := 0
+		for i := 1; i < len(lanes); i++ {
+			if lanes[i].core.Cycles() < lanes[li].core.Cycles() {
+				li = i
+			}
+		}
+		// The chosen core runs while its Cycles stays < lo (the earliest
+		// lower-index core) and <= hi (the earliest higher-index core).
+		lo, hi := ^uint64(0), ^uint64(0)
+		for i := range lanes {
+			c := lanes[i].core.Cycles()
+			if i < li && c < lo {
+				lo = c
+			} else if i > li && c < hi {
+				hi = c
+			}
+		}
+		l := &lanes[li]
+		for {
+			if steps&(cpu.CtxCheckInterval-1) == 0 {
+				if err := ctx.Err(); err != nil {
+					return -1, err
+				}
+			}
+			steps++
+			if err := l.gen.NextInto(&rec); err != nil {
+				if !errors.Is(err, io.EOF) {
+					return li, err
+				}
+				if !l.done {
+					// First pass complete: snapshot this core's result.
+					l.snapshot = l.core.Result()
+					l.done = true
+					remaining--
+					if remaining == 0 {
+						return 0, nil
+					}
+				}
+				// Recycle and keep stepping: the generator restarts (same
+				// program, fresh mapping, as rerunning the binary would).
+				l.gen.Reset()
+				continue
+			}
+			l.core.StepPtr(&rec)
+			l.consumed++
+			if c := l.core.Cycles(); c >= lo || c > hi {
+				break
+			}
+		}
+	}
 }

@@ -38,10 +38,17 @@ type stream struct {
 }
 
 // Generator produces the access trace for one profile, streamingly.
-// It implements trace.Reader and trace.Resetter. Reset replays the same
-// seed, so every pass has identical PCs, VAs and gaps, but it rebuilds
-// the address space, so frames (and hence PAs) are re-drawn from the
-// allocator's current state.
+// It implements trace.Reader and trace.Resetter. Each record has a
+// virtual half (PC, VA, gap, load-use distance, store flag), which
+// depends only on (profile, seed, limit), and a physical half (PA and
+// the huge flag), which NextInto maps live by translating the VA
+// against the system's shared buddy allocator. The virtual half comes
+// either from the seeded RNG drawer or from a recorded Program (see
+// Record and Program.Replay); both go through the same mapping code.
+// Reset restarts the pass: the virtual half is replayed identically —
+// redrawn from the same seed, or decoded from the program — and
+// re-mapped, because the address space is rebuilt and frames (hence
+// PAs) come from the allocator's current state.
 type Generator struct {
 	prof  Profile
 	sys   *vm.System
@@ -69,6 +76,13 @@ type Generator struct {
 	// and give lines and pages their temporal locality.
 	cur        *stream
 	streakLeft int
+
+	// prog is the program this generator records (replay false) or
+	// replays (replay true); nil for a plain drawing generator.
+	prog   *Program
+	replay bool
+	// nextRemap indexes the next churn remap a replay applies.
+	nextRemap int
 }
 
 // basePC is the synthetic code region; each stream's memory instruction
@@ -113,12 +127,10 @@ func (g *Generator) setup() error {
 		}
 		per := memaddr.AlignUp(bigBytes/uint64(n), memaddr.PageBytes)
 		for i := 0; i < n; i++ {
-			base := g.as.Mmap(per)
-			if err := g.as.Touch(base, per); err != nil {
-				return fmt.Errorf("workload %s: big region: %w", p.Name, err)
-			}
 			g.bigIdx = append(g.bigIdx, len(g.chunks))
-			g.chunks = append(g.chunks, chunk{base: base, size: per, big: true})
+			if _, err := g.mapChunk(per, true); err != nil {
+				return err
+			}
 		}
 	}
 	for smallBytes > 0 {
@@ -130,14 +142,10 @@ func (g *Generator) setup() error {
 		if size > smallBytes {
 			size = memaddr.AlignUp(smallBytes, memaddr.PageBytes)
 		}
-		base := g.as.Mmap(size)
-		if p.PreTouch {
-			if err := g.as.Touch(base, size); err != nil {
-				return fmt.Errorf("workload %s: small chunk: %w", p.Name, err)
-			}
-		}
 		g.smallIdx = append(g.smallIdx, len(g.chunks))
-		g.chunks = append(g.chunks, chunk{base: base, size: size})
+		if _, err := g.mapChunk(size, false); err != nil {
+			return err
+		}
 		if size >= smallBytes {
 			break
 		}
@@ -189,6 +197,24 @@ func (g *Generator) setup() error {
 	return nil
 }
 
+// mapChunk maps one setup chunk — Mmap, then Touch for big regions and,
+// when the profile pre-touches, small chunks — and appends it to the
+// chunk table. It returns the chunk's base.
+func (g *Generator) mapChunk(size uint64, big bool) (memaddr.VAddr, error) {
+	base := g.as.Mmap(size)
+	if big || g.prof.PreTouch {
+		if err := g.as.Touch(base, size); err != nil {
+			what := "small chunk"
+			if big {
+				what = "big region"
+			}
+			return 0, fmt.Errorf("workload %s: %s: %w", g.prof.Name, what, err)
+		}
+	}
+	g.chunks = append(g.chunks, chunk{base: base, size: size, big: big})
+	return base, nil
+}
+
 //sipt:hotpath
 func (g *Generator) nextPC() uint64 {
 	pc := basePC + g.pcSeq*4
@@ -205,16 +231,28 @@ func hashName(s string) uint64 {
 	return h
 }
 
-// Reset restarts the stream from the beginning with the same seed, so
-// PCs, VAs and gaps repeat. The address space is rebuilt, so physical
-// frames are re-drawn from the allocator's *current* state; for
-// deterministic replay across resets the caller should materialise the
-// trace (trace.Collect) instead.
+// Reset restarts the pass from the beginning, so PCs, VAs and gaps
+// repeat: a Record generator whose first pass completed (and a Replay
+// one) replays its program, any other generator redraws from its seed.
+// The address space is rebuilt, so physical frames are re-mapped from
+// the allocator's *current* state; for deterministic PAs across resets
+// the caller should materialise the trace (trace.Collect) instead.
 // Reset exists for the multicore recycle loop, where "same program,
 // later mapping" is exactly what rerunning a real binary would do.
 func (g *Generator) Reset() {
 	g.teardown()
-	if err := g.setup(); err != nil {
+	if g.prog != nil && !g.prog.complete() {
+		// A recording cut short holds no whole pass to replay.
+		g.prog = nil
+	}
+	g.replay = g.prog != nil
+	var err error
+	if g.replay {
+		err = g.replaySetup()
+	} else {
+		err = g.setup()
+	}
+	if err != nil {
 		// Setup failed on a system that previously accommodated the
 		// workload: only possible if someone else drained physical
 		// memory between passes. Treat as a programming error.
@@ -247,13 +285,52 @@ func (g *Generator) Next() (trace.Record, error) {
 }
 
 // NextInto implements trace.InPlaceReader; it is Next without the
-// record copy on return (the simulator's per-record hot path).
+// record copy on return (the simulator's per-record hot path). The
+// record's virtual half is replayed from the program or drawn; either
+// way it is then mapped here, by translating its VA live, and a
+// recording generator packs it onto its program.
 //
 //sipt:hotpath
 func (g *Generator) NextInto(rec *trace.Record) error {
 	if g.limit != 0 && g.emitted >= g.limit {
 		return io.EOF
 	}
+	if g.replay {
+		if err := g.replayInto(rec); err != nil {
+			return err
+		}
+	} else {
+		g.drawInto(rec)
+	}
+	pa, huge, err := g.as.Translate(rec.VA)
+	if err != nil {
+		//siptlint:allow hotalloc: error path, never taken in a healthy run
+		return fmt.Errorf("workload %s: %w", g.prof.Name, err)
+	}
+	rec.PA = pa
+	if huge {
+		rec.Flags |= trace.FlagHuge
+	}
+	if g.prog != nil && !g.replay {
+		g.recordOne(rec)
+	}
+	g.emitted++
+	return nil
+}
+
+// recordOne packs a drawn record onto the recording, abandoning the
+// recording if the record does not fit the packing.
+func (g *Generator) recordOne(rec *trace.Record) {
+	if !g.prog.add(rec) {
+		g.prog = nil
+	}
+}
+
+// drawInto draws the next record's virtual half from the RNG, first
+// applying any churn due at this position. PA is left for NextInto.
+//
+//sipt:hotpath
+func (g *Generator) drawInto(rec *trace.Record) {
 	p := &g.prof
 
 	if p.ChurnEvery > 0 {
@@ -279,23 +356,12 @@ func (g *Generator) NextInto(rec *trace.Record) error {
 	s := g.cur
 	g.streakLeft--
 
-	va := g.genAddr(s)
-	pa, huge, err := g.as.Translate(va)
-	if err != nil {
-		//siptlint:allow hotalloc: error path, never taken in a healthy run
-		return fmt.Errorf("workload %s: %w", p.Name, err)
-	}
-
 	rec.PC = s.pc
-	rec.VA = va
-	rec.PA = pa
+	rec.VA = g.genAddr(s)
 	rec.DepDist = 0
 	rec.Flags = 0
-	if huge {
-		rec.Flags = trace.FlagHuge
-	}
 	if g.rng.Float64() < p.StoreRatio {
-		rec.Flags |= trace.FlagStore
+		rec.Flags = trace.FlagStore
 	} else {
 		if s.chase {
 			rec.DepDist = uint8(1 + g.rng.Intn(2))
@@ -308,9 +374,6 @@ func (g *Generator) NextInto(rec *trace.Record) error {
 		gap = 1<<16 - 1
 	}
 	rec.Gap = uint16(gap)
-
-	g.emitted++
-	return nil
 }
 
 // pickStream selects a stream with the requested hotness, scanning from
@@ -492,16 +555,28 @@ func (g *Generator) churn() {
 		return
 	}
 	idx := g.smallIdx[g.rng.Intn(len(g.smallIdx))]
-	c := &g.chunks[idx]
-	if err := g.as.Munmap(c.base, c.size); err != nil {
+	base, err := g.remapChunk(idx)
+	if err != nil {
 		return
 	}
-	base := g.as.Mmap(c.size)
-	c.base = base
+	if g.prog != nil {
+		g.prog.remaps = append(g.prog.remaps, remap{at: g.emitted, idx: idx, base: base})
+	}
+}
+
+// remapChunk unmaps chunk idx and maps it afresh (pre-touched when the
+// profile pre-touches), returning its new base.
+func (g *Generator) remapChunk(idx int) (memaddr.VAddr, error) {
+	c := &g.chunks[idx]
+	if err := g.as.Munmap(c.base, c.size); err != nil {
+		return 0, err
+	}
+	c.base = g.as.Mmap(c.size)
 	if g.prof.PreTouch {
 		// Ignore exhaustion here: demand faulting will surface it.
-		_ = g.as.Touch(base, c.size)
+		_ = g.as.Touch(c.base, c.size)
 	}
+	return c.base, nil
 }
 
 // FramesNeeded estimates the physical frames a profile requires,
