@@ -249,10 +249,11 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var rec trace.Record
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := gen.Next(); err != nil {
+		if err := gen.NextInto(&rec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -278,30 +279,6 @@ func BenchmarkGeneratorReset(b *testing.B) {
 		gen.Reset()
 	}
 }
-
-func BenchmarkTraceCodec(b *testing.B) {
-	rec := trace.Record{PC: 0x400000, VA: 0x7f0000001000, PA: 0x1234000,
-		Gap: 3, DepDist: 2}
-	var sink discard
-	w, err := trace.NewWriter(&sink)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(28)
-	for i := 0; i < b.N; i++ {
-		if err := w.Write(rec); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// discard is an io.Writer that drops everything (hermetic codec bench).
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
 // ---- trace replay ----
 

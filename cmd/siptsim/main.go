@@ -5,13 +5,16 @@
 // Usage:
 //
 //	siptsim -app mcf -l1 32K2w -mode combined [-core ooo] [-scenario normal]
+//	siptsim -trace mcf.sipt -l1 32K2w -mode combined
+//
+// -trace replays a .sipt file (tracegen -o) under the scenario its
+// header records.
 //
 // Exit codes: 0 success, 1 simulation or input failure, 2 bad flags,
 // 3 the -timeout deadline expired before the run finished.
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -62,6 +65,13 @@ func simFail(stderr io.Writer, err error) int {
 	return 1
 }
 
+// flagSet reports whether the named flag was given on the command line.
+func flagSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
 // run is the command body, factored for tests.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("siptsim", flag.ContinueOnError)
@@ -74,7 +84,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	wayPred := fs.Bool("waypred", false, "enable MRU way prediction")
 	records := fs.Uint64("records", sim.DefaultRecords, "trace length (memory accesses)")
 	seed := fs.Int64("seed", 1, "deterministic seed")
-	traceFile := fs.String("trace", "", "replay a trace file (legacy stream or versioned .sipt format, auto-detected) instead of generating")
+	traceFile := fs.String("trace", "", "replay a .sipt trace file (its header sets the scenario) instead of generating")
 	timeout := fs.Duration("timeout", 0, "abort the simulation after this duration (0 = no limit)")
 	listApps := fs.Bool("listapps", false, "list workload names and exit")
 	if err := fs.Parse(args); err != nil {
@@ -115,6 +125,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("bad core %q (ooo|inorder)", *coreKind))
 	}
 
+	label := *app
+	var tr *tracefile.Reader
+	if *traceFile != "" {
+		label = *traceFile
+		f, err := os.Open(*traceFile)
+		if err != nil {
+			return fail(err)
+		}
+		defer f.Close()
+		if tr, err = tracefile.NewReader(f); err != nil {
+			return fail(fmt.Errorf("%s: %w", *traceFile, err))
+		}
+		// The trace was laid out under its own scenario: take it from
+		// the header, and refuse an explicit -scenario that disagrees.
+		if hdr := tr.Meta().Scenario; hdr != sc {
+			if flagSet(fs, "scenario") {
+				return fail(fmt.Errorf("-scenario %s disagrees with the trace's scenario %s", sc, hdr))
+			}
+			sc = hdr
+		}
+	}
+
 	cfg := sim.SIPT(coreCfg, sizeKiB, ways, m)
 	cfg.WayPrediction = *wayPred
 	cfg.NoContig = sc == vm.ScenarioNoContig
@@ -123,45 +155,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer cancel()
 
 	var st sim.Stats
-	label := *app
-	if *traceFile != "" {
-		label = *traceFile
-		f, err := os.Open(*traceFile)
-		if err != nil {
-			return fail(err)
-		}
-		defer f.Close()
-		// Sniff the magic to pick the decoder: the versioned tracefile
-		// format (tracegen -o) or the legacy stream (tracegen -out).
-		br := bufio.NewReader(f)
-		head, _ := br.Peek(tracefile.MagicLen)
-		var r trace.Reader
-		if tracefile.Sniff(head) {
-			tr, err := tracefile.NewReader(br)
-			if err != nil {
-				return fail(err)
-			}
-			r = tr
-		} else {
-			fr, err := trace.NewFileReader(br)
-			if err != nil {
-				return fail(err)
-			}
-			r = fr
-		}
-		st, err = sim.RunTrace(ctx, *traceFile, trace.Limit(r, *records), cfg, *seed)
-		if err != nil {
-			return simFail(stderr, err)
-		}
+	if tr != nil {
+		st, err = sim.RunTrace(ctx, *traceFile, trace.Limit(tr, *records), cfg, *seed)
 	} else {
-		prof, err := workload.Lookup(*app)
-		if err != nil {
+		var prof workload.Profile
+		if prof, err = workload.Lookup(*app); err != nil {
 			return fail(err)
 		}
 		st, err = sim.RunApp(ctx, prof, cfg, sc, *seed, *records)
-		if err != nil {
-			return simFail(stderr, err)
-		}
+	}
+	if err != nil {
+		return simFail(stderr, err)
 	}
 
 	fmt.Fprintf(stdout, "workload      %s (%s, %s, %s)\n", label, cfg.Label(), coreCfg.Name, sc)

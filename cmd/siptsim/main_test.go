@@ -147,36 +147,71 @@ func TestRunExitCodes(t *testing.T) {
 	}
 }
 
-// TestReplayTracefileFormat: -trace auto-detects the versioned
-// tracefile format (tracegen -o) and replays it bit-identically to the
-// generator-driven run of the same workload.
-func TestReplayTracefileFormat(t *testing.T) {
-	prof := workload.MustLookup("libquantum")
-	buf, err := sim.Materialize(prof, vm.ScenarioNormal, 5, 2000)
+// writeTrace materialises app under sc and seed as a .sipt file.
+func writeTrace(t *testing.T, app string, sc vm.Scenario, seed int64, records uint64) string {
+	t.Helper()
+	buf, err := sim.Materialize(workload.MustLookup(app), sc, seed, records)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := tracefile.Encode(tracefile.Meta{App: "libquantum", Scenario: vm.ScenarioNormal, Seed: 5}, buf)
+	enc, err := tracefile.Encode(tracefile.Meta{App: app, Scenario: sc, Seed: seed}, buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "lq.sipt")
+	path := filepath.Join(t.TempDir(), app+".sipt")
 	if err := os.WriteFile(path, enc, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
 
+// assertReplayMatchesLive runs replayArgs and liveArgs and requires
+// identical stats line for line, apart from the workload label.
+func assertReplayMatchesLive(t *testing.T, replayArgs, liveArgs []string) {
+	t.Helper()
 	var fromFile, live strings.Builder
-	if code := run([]string{"-trace", path, "-l1", "32K2w", "-mode", "combined", "-seed", "5", "-records", "2000"},
-		&fromFile, &fromFile); code != 0 {
+	if code := run(replayArgs, &fromFile, &fromFile); code != 0 {
 		t.Fatalf("replay exit %d: %s", code, fromFile.String())
 	}
-	if code := run([]string{"-app", "libquantum", "-l1", "32K2w", "-mode", "combined", "-seed", "5", "-records", "2000"},
-		&live, &live); code != 0 {
+	if code := run(liveArgs, &live, &live); code != 0 {
 		t.Fatalf("live exit %d: %s", code, live.String())
 	}
-	// Identical stats line for line, apart from the workload label.
 	trim := func(s string) string { return s[strings.Index(s, "\n"):] }
 	if trim(fromFile.String()) != trim(live.String()) {
 		t.Fatalf("tracefile replay drifted from live run:\n%s\nvs\n%s", fromFile.String(), live.String())
+	}
+}
+
+// TestReplayTracefileFormat: -trace reads the versioned tracefile
+// format (tracegen -o) and replays it bit-identically to the
+// generator-driven run of the same workload.
+func TestReplayTracefileFormat(t *testing.T) {
+	path := writeTrace(t, "libquantum", vm.ScenarioNormal, 5, 2000)
+	flags := []string{"-l1", "32K2w", "-mode", "combined", "-seed", "5", "-records", "2000"}
+	assertReplayMatchesLive(t,
+		append([]string{"-trace", path}, flags...),
+		append([]string{"-app", "libquantum"}, flags...))
+}
+
+// TestReplayTakesScenarioFromHeader: a trace recorded under no-contig
+// replays as no-contig without -scenario (the core must be configured
+// for it, as the live run is), and an explicit -scenario that
+// contradicts the header is refused.
+func TestReplayTakesScenarioFromHeader(t *testing.T) {
+	path := writeTrace(t, "mcf", vm.ScenarioNoContig, 1, 20_000)
+	flags := []string{"-l1", "32K2w", "-mode", "combined", "-seed", "1", "-records", "20000"}
+	assertReplayMatchesLive(t,
+		append([]string{"-trace", path}, flags...),
+		append([]string{"-app", "mcf", "-scenario", "no-contig"}, flags...))
+	assertReplayMatchesLive(t,
+		append([]string{"-trace", path, "-scenario", "no-contig"}, flags...),
+		append([]string{"-app", "mcf", "-scenario", "no-contig"}, flags...))
+
+	var out, errOut strings.Builder
+	if code := run(append([]string{"-trace", path, "-scenario", "normal"}, flags...), &out, &errOut); code != 1 {
+		t.Fatalf("contradicting -scenario exit = %d, want 1 (stderr: %s)", code, errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "disagrees") {
+		t.Errorf("stderr = %q, want the scenario mismatch named", errOut.String())
 	}
 }

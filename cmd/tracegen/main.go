@@ -1,19 +1,16 @@
-// Command tracegen materialises a synthetic workload trace to a file,
-// or inspects an existing trace file. Traces carry PC, VA, PA, page
+// Command tracegen materialises a synthetic workload trace to a .sipt
+// file, or inspects an existing one. Traces carry PC, VA, PA, page
 // flags, instruction gaps, and load-use distances — the same
 // information the paper's modified Macsim trace generator captured via
 // Linux pagemap/kpageflags.
 //
-// Two output formats:
+//	tracegen -app gcc -records 1000000 -o gcc.sipt
+//	tracegen -inspect gcc.sipt
 //
-//	tracegen -app gcc -records 1000000 -out gcc.trace   legacy stream
-//	tracegen -app gcc -records 1000000 -o gcc.sipt      versioned tracefile
-//	tracegen -inspect gcc.sipt                          either format
-//
-// -o writes the internal/tracefile format: a self-describing header
+// The file is the internal/tracefile format: a self-describing header
 // (app, scenario, seed, record count) plus CRC-protected chunks of
 // packed 16-byte records — the format siptd ingests via POST
-// /v1/traces. -inspect auto-detects the format by magic.
+// /v1/traces and siptsim -trace replays.
 package main
 
 import (
@@ -45,12 +42,11 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	app := fs.String("app", "", "workload name to generate")
-	out := fs.String("out", "", "output trace file (legacy stream format)")
-	outFile := fs.String("o", "", "output trace file (versioned .sipt tracefile format)")
+	outFile := fs.String("o", "", "output .sipt trace file")
 	records := fs.Uint64("records", 1_000_000, "memory accesses to emit")
 	seed := fs.Int64("seed", 1, "deterministic seed")
 	scenario := fs.String("scenario", "normal", "memory condition")
-	inspect := fs.String("inspect", "", "trace file to summarise instead of generating")
+	inspect := fs.String("inspect", "", ".sipt trace file to summarise instead of generating")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -58,11 +54,8 @@ func run(args []string, stdout io.Writer) error {
 	if *inspect != "" {
 		return inspectTrace(*inspect, stdout)
 	}
-	if *app == "" || (*out == "" && *outFile == "") {
-		return errors.New("need -app and one of -out/-o (or -inspect FILE)")
-	}
-	if *out != "" && *outFile != "" {
-		return errors.New("-out and -o are mutually exclusive; pick one format")
+	if *app == "" || *outFile == "" {
+		return errors.New("need -app and -o (or -inspect FILE)")
 	}
 
 	sc, err := vm.ParseScenario(*scenario)
@@ -79,47 +72,12 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	if *outFile != "" {
-		meta := tracefile.Meta{App: *app, Scenario: sc, Seed: *seed}
-		n, err := writeTracefile(*outFile, meta, gen)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %d records to %s (tracefile v%d)\n", n, *outFile, tracefile.FormatVersion)
-		return nil
-	}
-
-	f, err := os.Create(*out)
+	meta := tracefile.Meta{App: *app, Scenario: sc, Seed: *seed}
+	n, err := writeTracefile(*outFile, meta, gen)
 	if err != nil {
-		return fmt.Errorf("creating %s: %w", *out, err)
-	}
-	w, err := trace.NewWriter(f)
-	if err != nil {
-		f.Close()
 		return err
 	}
-	for {
-		rec, err := gen.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			f.Close()
-			return err
-		}
-		if err := w.Write(rec); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("closing %s: %w", *out, err)
-	}
-	fmt.Fprintf(stdout, "wrote %d records to %s\n", w.Count(), *out)
+	fmt.Fprintf(stdout, "wrote %d records to %s (tracefile v%d)\n", n, *outFile, tracefile.FormatVersion)
 	return nil
 }
 
@@ -140,8 +98,9 @@ func writeTracefile(path string, meta tracefile.Meta, gen trace.Reader) (n uint6
 	if err != nil {
 		return 0, err
 	}
+	var rec trace.Record
 	for {
-		rec, err := gen.Next()
+		err := gen.NextInto(&rec)
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -158,52 +117,26 @@ func writeTracefile(path string, meta tracefile.Meta, gen trace.Reader) (n uint6
 	return w.Count(), nil
 }
 
-// openTrace opens path with the right decoder for its magic: the
-// versioned tracefile format or the legacy stream. The returned meta is
-// zero for legacy files (they are not self-describing).
-func openTrace(path string) (f *os.File, r trace.Reader, meta tracefile.Meta, err error) {
-	f, err = os.Open(path)
-	if err != nil {
-		return nil, nil, meta, err
-	}
-	var head [tracefile.MagicLen]byte
-	n, _ := io.ReadFull(f, head[:])
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, meta, err
-	}
-	if tracefile.Sniff(head[:n]) {
-		tr, err := tracefile.NewReader(f)
-		if err != nil {
-			f.Close()
-			return nil, nil, meta, err
-		}
-		return f, tr, tr.Meta(), nil
-	}
-	fr, err := trace.NewFileReader(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, meta, err
-	}
-	return f, fr, meta, nil
-}
-
 func inspectTrace(path string, stdout io.Writer) error {
-	f, r, meta, err := openTrace(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if meta.App != "" {
-		fmt.Fprintf(stdout, "tracefile v%d: app %s, scenario %s, seed %d, %d records\n",
-			tracefile.FormatVersion, meta.App, meta.Scenario, meta.Seed, meta.Records)
+	r, err := tracefile.NewReader(f)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
+	meta := r.Meta()
+	fmt.Fprintf(stdout, "tracefile v%d: app %s, scenario %s, seed %d, %d records\n",
+		tracefile.FormatVersion, meta.App, meta.Scenario, meta.Seed, meta.Records)
 	var n, loads, stores, huge uint64
 	var instr uint64
 	var unchanged [4]uint64 // >=1, >=2, >=3 bits, plus total index 0 unused
 	pcs := make(map[uint64]struct{})
+	var rec trace.Record
 	for {
-		rec, err := r.Next()
+		err := r.NextInto(&rec)
 		if errors.Is(err, io.EOF) {
 			break
 		}

@@ -10,14 +10,14 @@ import (
 	"testing"
 
 	"sipt/internal/cpu"
+	"sipt/internal/replay"
 	"sipt/internal/sim"
-	"sipt/internal/trace"
 	"sipt/internal/tracefile"
 	"sipt/internal/vm"
 	"sipt/internal/workload"
 )
 
-// writeTestTrace materialises a small trace file.
+// writeTestTrace materialises a small .sipt trace file.
 func writeTestTrace(t *testing.T, path string, records uint64) {
 	t.Helper()
 	prof := workload.MustLookup("hmmer")
@@ -27,25 +27,8 @@ func writeTestTrace(t *testing.T, path string, records uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	w, err := trace.NewWriter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		rec, err := gen.Next()
-		if err != nil {
-			break
-		}
-		if err := w.Write(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
+	meta := tracefile.Meta{App: "hmmer", Scenario: vm.ScenarioNormal, Seed: 1}
+	if _, err := writeTracefile(path, meta, gen); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -66,18 +49,13 @@ func TestInspectTraceMissingFile(t *testing.T) {
 
 func TestInspectTraceEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "empty.sipt")
-	f, err := os.Create(path)
+	enc, err := tracefile.Encode(tracefile.Meta{App: "hmmer", Scenario: vm.ScenarioNormal, Seed: 1}, &replay.Buffer{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := trace.NewWriter(f)
-	if err != nil {
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 	if err := inspectTrace(path, io.Discard); err == nil {
 		t.Error("empty trace accepted")
 	}
@@ -127,26 +105,24 @@ func TestRunEmitsTracefile(t *testing.T) {
 }
 
 // TestRunUnwritableOutput: a bad output path must surface as an error
-// from run (a non-zero exit), not a panic, for both formats.
+// from run (a non-zero exit), not a panic.
 func TestRunUnwritableOutput(t *testing.T) {
 	bad := filepath.Join(t.TempDir(), "no", "such", "dir", "x.sipt")
-	for _, flagName := range []string{"-o", "-out"} {
-		err := run([]string{"-app", "libquantum", "-records", "10", flagName, bad}, io.Discard)
-		if err == nil {
-			t.Fatalf("%s %s: unwritable path accepted", flagName, bad)
-		}
-		if !strings.Contains(err.Error(), bad) {
-			t.Errorf("%s: error %q does not name the path", flagName, err)
-		}
+	err := run([]string{"-app", "libquantum", "-records", "10", "-o", bad}, io.Discard)
+	if err == nil {
+		t.Fatalf("-o %s: unwritable path accepted", bad)
+	}
+	if !strings.Contains(err.Error(), bad) {
+		t.Errorf("error %q does not name the path", err)
 	}
 }
 
 func TestRunFlagValidation(t *testing.T) {
 	cases := [][]string{
-		{"-app", "libquantum"},                          // no output
-		{"-records", "10", "-o", "x.sipt"},              // no app
-		{"-app", "nope", "-records", "10", "-o", "x"},   // unknown app
-		{"-app", "libquantum", "-o", "a", "-out", "b"},  // both formats
+		{"-app", "libquantum"},                        // no output
+		{"-records", "10", "-o", "x.sipt"},            // no app
+		{"-app", "nope", "-records", "10", "-o", "x"}, // unknown app
+		{"-app", "libquantum", "-out", "x"},           // unknown flag: -o is the only output
 		{"-app", "libquantum", "-scenario", "bogus", "-o", "x"},
 	}
 	for _, args := range cases {
@@ -175,7 +151,7 @@ func TestReplayedTraceMatchesGenerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	r, err := trace.NewFileReader(f)
+	r, err := tracefile.NewReader(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -353,9 +353,7 @@ const CtxCheckInterval = 4096
 
 // Run consumes the trace to EOF and returns the result (bound the
 // length with trace.Limit). Errors other than io.EOF from the reader
-// are returned. Readers that implement trace.InPlaceReader (the
-// synthetic generator does) are driven through NextInto, saving a
-// record copy and the interface dispatch per record.
+// are returned.
 //
 // The context is polled every CtxCheckInterval records: a cancelled or
 // expired ctx stops the run promptly and returns ctx.Err() (wrapped
@@ -367,34 +365,17 @@ func (c *Core) Run(ctx context.Context, r trace.Reader) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var n uint64
 	var rec trace.Record
-	if ir, ok := r.(trace.InPlaceReader); ok {
-		for {
-			if n&(CtxCheckInterval-1) == 0 {
-				if err := ctx.Err(); err != nil {
-					return c.Result(), err
-				}
-			}
-			if err := ir.NextInto(&rec); err != nil {
-				return c.end(err)
-			}
-			c.step(&rec)
-			n++
-		}
-	}
-	for {
+	for n := uint64(0); ; n++ {
 		if n&(CtxCheckInterval-1) == 0 {
 			if err := ctx.Err(); err != nil {
 				return c.Result(), err
 			}
 		}
-		var err error
-		if rec, err = r.Next(); err != nil {
+		if err := r.NextInto(&rec); err != nil {
 			return c.end(err)
 		}
 		c.step(&rec)
-		n++
 	}
 }
 

@@ -353,12 +353,12 @@ func TestRunStopsWithinCheckInterval(t *testing.T) {
 	// next interval boundary must abort the run.
 	base := trace.NewSliceReader(recs)
 	n := 0
-	r := readerFunc(func() (trace.Record, error) {
+	r := readerFunc(func(rec *trace.Record) error {
 		n++
 		if n == 100 {
 			cancel()
 		}
-		return base.Next()
+		return base.NextInto(rec)
 	})
 	res, err := c.Run(ctx, r)
 	if !errors.Is(err, context.Canceled) {
@@ -370,8 +370,7 @@ func TestRunStopsWithinCheckInterval(t *testing.T) {
 	}
 }
 
-// readerFunc adapts a closure to trace.Reader (and deliberately not to
-// trace.InPlaceReader, so the generic loop is exercised too).
-type readerFunc func() (trace.Record, error)
+// readerFunc adapts a closure to trace.Reader.
+type readerFunc func(rec *trace.Record) error
 
-func (f readerFunc) Next() (trace.Record, error) { return f() }
+func (f readerFunc) NextInto(rec *trace.Record) error { return f(rec) }

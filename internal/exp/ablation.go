@@ -61,8 +61,9 @@ func AblationPredictor(r *Runner) ([]*report.Table, error) {
 		for i, d := range designs {
 			preds[i] = d.mk()
 		}
+		var rec trace.Record
 		for {
-			rec, err := gen.Next()
+			err := gen.NextInto(&rec)
 			if errors.Is(err, io.EOF) {
 				break
 			}
@@ -125,8 +126,9 @@ func AblationIDB(r *Runner) ([]*report.Table, error) {
 		for i, n := range entryCounts {
 			idbs[i] = predictor.NewIDBSized(bits, n, false, r.opts.Seed)
 		}
+		var rec trace.Record
 		for {
-			rec, err := gen.Next()
+			err := gen.NextInto(&rec)
 			if errors.Is(err, io.EOF) {
 				break
 			}

@@ -10,6 +10,7 @@ import (
 	"sipt/internal/memaddr"
 	"sipt/internal/report"
 	"sipt/internal/sim"
+	"sipt/internal/trace"
 	"sipt/internal/vm"
 )
 
@@ -106,8 +107,9 @@ func Fig5(r *Runner) ([]*report.Table, error) {
 			return row{}, err
 		}
 		var n, k1, k2, k3, huge uint64
+		var rec trace.Record
 		for {
-			rec, err := gen.Next()
+			err := gen.NextInto(&rec)
 			if errors.Is(err, io.EOF) {
 				break
 			}

@@ -14,7 +14,7 @@ import (
 func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(segHeader())
-	f.Add([]byte("SJNL")) // torn header
+	f.Add([]byte("SJNL"))                 // torn header
 	f.Add([]byte("SCAS\x01\x00\x00\x00")) // a store blob, not a journal
 	seed := segHeader()
 	for _, rec := range []Record{

@@ -7,8 +7,7 @@
 // trick of trace-driven simulators (zsim, gem5 et al.), applied to the
 // synthetic generator in internal/workload.
 //
-// A Buffer packs each trace.Record into 16 bytes (two words), reusing
-// the bit-packing idea of PR 1's 16-byte cache lines: the virtual and
+// A Buffer packs each trace.Record into 16 bytes (two words): the virtual and
 // physical page offsets are equal by construction, program counters of
 // synthetic traces live in a small dense window above 0x400000, and
 // gap/dependence/flag fields are narrow. Records that do not fit —
@@ -17,9 +16,10 @@
 // generation; nothing is silently truncated.
 //
 // Decoding is the per-record hot path of every replayed run: a Cursor
-// reads two words and reassembles the record with shifts and masks,
-// allocation-free (enforced by the hotalloc analyzer through the
-// //sipt:hotpath annotations below).
+// is the buffer's trace.Reader, and its NextInto reads two words and
+// reassembles the record with shifts and masks, allocation-free
+// (enforced by the hotalloc analyzer through the //sipt:hotpath
+// annotations below).
 package replay
 
 import (
@@ -151,25 +151,11 @@ func FromReader(r trace.Reader, sizeHint int) (*Buffer, error) {
 		b.words = make([]uint64, 0, 2*sizeHint)
 	}
 	var rec trace.Record
-	if ir, ok := r.(trace.InPlaceReader); ok {
-		for {
-			if err := ir.NextInto(&rec); err != nil {
-				if errors.Is(err, io.EOF) {
-					return b, nil
-				}
-				return nil, err
-			}
-			if err := b.Append(&rec); err != nil {
-				return nil, err
-			}
-		}
-	}
 	for {
-		rec, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			return b, nil
-		}
-		if err != nil {
+		if err := r.NextInto(&rec); err != nil {
+			if errors.Is(err, io.EOF) {
+				return b, nil
+			}
 			return nil, err
 		}
 		if err := b.Append(&rec); err != nil {
@@ -178,9 +164,9 @@ func FromReader(r trace.Reader, sizeHint int) (*Buffer, error) {
 	}
 }
 
-// Cursor streams a Buffer's records from the beginning. It implements
-// trace.Reader, trace.InPlaceReader, and trace.Resetter; independent
-// cursors over one buffer are safe to use concurrently.
+// Cursor streams a Buffer's records from the beginning. It is a
+// trace.Reader; independent cursors over one buffer are safe to use
+// concurrently.
 type Cursor struct {
 	words []uint64
 	pos   int
@@ -189,10 +175,7 @@ type Cursor struct {
 // Cursor returns a fresh cursor positioned at the first record.
 func (b *Buffer) Cursor() *Cursor { return &Cursor{words: b.words} }
 
-// Len returns the total number of records the cursor ranges over.
-func (c *Cursor) Len() int { return len(c.words) / 2 }
-
-// NextInto implements trace.InPlaceReader: a replayed run's per-record
+// NextInto implements trace.Reader: a replayed run's per-record
 // decode. Two loads plus shift/mask reassembly, no allocation.
 //
 //sipt:hotpath
@@ -207,14 +190,7 @@ func (c *Cursor) NextInto(rec *trace.Record) error {
 	return nil
 }
 
-// Next implements trace.Reader.
-func (c *Cursor) Next() (trace.Record, error) {
-	var rec trace.Record
-	err := c.NextInto(&rec)
-	return rec, err
-}
-
-// Reset implements trace.Resetter: rewind to the first record. Unlike
+// Reset rewinds to the first record. Unlike
 // workload.Generator.Reset (which rebuilds the address space against
 // the allocator's current state), a cursor reset replays the identical
 // records.

@@ -37,9 +37,11 @@ func genRecords(t *testing.T, app string, sc vm.Scenario, seed int64, records ui
 }
 
 // TestRoundTrip asserts the packed encoding is lossless for real
-// generator output: materialise, decode, compare field-for-field.
+// generator output: materialise, decode, compare field-for-field. It
+// covers every app in every scenario, so every synthetic trace packs
+// (and hence fits a .sipt file, whose payload is this packing).
 func TestRoundTrip(t *testing.T) {
-	for _, app := range []string{"libquantum", "ycsb"} {
+	for _, app := range workload.AllApps() {
 		for _, sc := range vm.Scenarios() {
 			want := genRecords(t, app, sc, 1, 10_000)
 			prof, err := workload.Lookup(app)
@@ -54,16 +56,16 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("%s/%s: %d records materialised, want %d", app, sc, buf.Len(), len(want))
 			}
 			cur := buf.Cursor()
+			var got trace.Record
 			for i, w := range want {
-				got, err := cur.Next()
-				if err != nil {
+				if err := cur.NextInto(&got); err != nil {
 					t.Fatalf("%s/%s record %d: %v", app, sc, i, err)
 				}
 				if got != w {
 					t.Fatalf("%s/%s record %d: got %+v want %+v", app, sc, i, got, w)
 				}
 			}
-			if _, err := cur.Next(); !errors.Is(err, io.EOF) {
+			if err := cur.NextInto(&got); !errors.Is(err, io.EOF) {
 				t.Fatalf("%s/%s: expected EOF, got %v", app, sc, err)
 			}
 		}
@@ -127,8 +129,8 @@ func TestUnpackable(t *testing.T) {
 	if err := b.Append(&ok); err != nil {
 		t.Fatalf("maximal record rejected: %v", err)
 	}
-	got, err := b.Cursor().Next()
-	if err != nil {
+	var got trace.Record
+	if err := b.Cursor().NextInto(&got); err != nil {
 		t.Fatal(err)
 	}
 	if got != ok {
@@ -336,9 +338,10 @@ func TestWordsRoundTrip(t *testing.T) {
 		t.Fatalf("clone shape %d/%d, want %d/%d", clone.Len(), clone.Bytes(), buf.Len(), buf.Bytes())
 	}
 	a, b := buf.Cursor(), clone.Cursor()
+	var ra, rb trace.Record
 	for i := 0; i < buf.Len(); i++ {
-		ra, erra := a.Next()
-		rb, errb := b.Next()
+		erra := a.NextInto(&ra)
+		errb := b.NextInto(&rb)
 		if erra != nil || errb != nil {
 			t.Fatalf("record %d: %v / %v", i, erra, errb)
 		}

@@ -149,7 +149,7 @@ func TestTraceIngestAndReplay(t *testing.T) {
 }
 
 func TestTraceUploadRejectsGarbage(t *testing.T) {
-	_, srv := testServer(t, Config{TraceStore: openTraceStore(t, 1 << 30)})
+	_, srv := testServer(t, Config{TraceStore: openTraceStore(t, 1<<30)})
 
 	resp, body := postRaw(t, srv.URL+"/v1/traces", []byte("not a trace at all"))
 	if resp.StatusCode != http.StatusBadRequest {
@@ -167,7 +167,7 @@ func TestTraceUploadRejectsGarbage(t *testing.T) {
 }
 
 func TestTraceUploadSizeCap(t *testing.T) {
-	_, srv := testServer(t, Config{TraceStore: openTraceStore(t, 1 << 30), MaxTraceBytes: 4096})
+	_, srv := testServer(t, Config{TraceStore: openTraceStore(t, 1<<30), MaxTraceBytes: 4096})
 	enc, _ := encodeTestTrace(t, "mcf", 3, 2_000) // ~32 KiB, over the cap
 	resp, body := postRaw(t, srv.URL+"/v1/traces", enc)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {

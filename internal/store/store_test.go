@@ -296,7 +296,7 @@ func TestConcurrentPutGet(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				k := store.KeyOf(fmt.Sprint((g * 7) % 13), fmt.Sprint(i%11))
+				k := store.KeyOf(fmt.Sprint((g*7)%13), fmt.Sprint(i%11))
 				if err := s.Put(k, bytes.Repeat([]byte{byte(i)}, 64)); err != nil {
 					t.Error(err)
 					return

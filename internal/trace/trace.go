@@ -6,15 +6,13 @@
 // Macsim trace generator plus Linux pagemap/kpageflags (PC, VA, PA, and
 // page flags for every access).
 //
-// Traces can be consumed streamingly from a generator (no
-// materialisation) or round-tripped through a compact binary encoding.
+// Every producer — the synthetic generator, a replayed buffer, a
+// decoded trace file — is a Reader, drained one record at a time with
+// NextInto. The on-disk format lives in internal/tracefile.
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 
 	"sipt/internal/memaddr"
@@ -42,9 +40,6 @@ type Record struct {
 // IsStore reports whether the record is a store.
 func (r Record) IsStore() bool { return r.Flags&FlagStore != 0 }
 
-// IsLoad reports whether the record is a load.
-func (r Record) IsLoad() bool { return r.Flags&FlagStore == 0 }
-
 // Huge reports whether the record's page is huge.
 func (r Record) Huge() bool { return r.Flags&FlagHuge != 0 }
 
@@ -54,22 +49,8 @@ func (r Record) Instructions() uint64 { return uint64(r.Gap) + 1 }
 
 // Reader yields trace records in program order.
 type Reader interface {
-	// Next returns the next record. It returns io.EOF when the trace is
-	// exhausted.
-	Next() (Record, error)
-}
-
-// Resetter is implemented by readers that can rewind to the beginning
-// (the multicore harness recycles traces until the last core finishes).
-type Resetter interface {
-	Reset()
-}
-
-// InPlaceReader is an optional Reader fast path: NextInto writes the
-// next record into *rec instead of returning it, sparing the per-record
-// copy on return. Semantics are otherwise identical to Next (io.EOF at
-// exhaustion; *rec is undefined after a non-nil error).
-type InPlaceReader interface {
+	// NextInto writes the next record into *rec. It returns io.EOF when
+	// the trace is exhausted; *rec is undefined after a non-nil error.
 	NextInto(rec *Record) error
 }
 
@@ -82,27 +63,25 @@ type SliceReader struct {
 // NewSliceReader returns a Reader over recs.
 func NewSliceReader(recs []Record) *SliceReader { return &SliceReader{recs: recs} }
 
-// Next implements Reader.
-func (s *SliceReader) Next() (Record, error) {
+// NextInto implements Reader.
+func (s *SliceReader) NextInto(rec *Record) error {
 	if s.pos >= len(s.recs) {
-		return Record{}, io.EOF
+		return io.EOF
 	}
-	r := s.recs[s.pos]
+	*rec = s.recs[s.pos]
 	s.pos++
-	return r, nil
+	return nil
 }
 
-// Reset implements Resetter.
+// Reset rewinds to the first record.
 func (s *SliceReader) Reset() { s.pos = 0 }
-
-// Len returns the total number of records.
-func (s *SliceReader) Len() int { return len(s.recs) }
 
 // Collect drains r into a slice, up to max records (0 = unlimited).
 func Collect(r Reader, max int) ([]Record, error) {
 	var out []Record
+	var rec Record
 	for max == 0 || len(out) < max {
-		rec, err := r.Next()
+		err := r.NextInto(&rec)
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -114,96 +93,6 @@ func Collect(r Reader, max int) ([]Record, error) {
 	return out, nil
 }
 
-// Binary file format: magic, version, then fixed-size little-endian
-// records.
-var magic = [4]byte{'S', 'I', 'P', 'T'}
-
-const formatVersion = 1
-
-// recordSize is the on-disk size of one encoded record.
-const recordSize = 8 + 8 + 8 + 2 + 1 + 1
-
-// Writer encodes records to an io.Writer.
-type Writer struct {
-	w     *bufio.Writer
-	count uint64
-}
-
-// NewWriter writes a trace header and returns a Writer.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return nil, err
-	}
-	if err := bw.WriteByte(formatVersion); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw}, nil
-}
-
-// Write appends one record.
-func (w *Writer) Write(r Record) error {
-	var buf [recordSize]byte
-	binary.LittleEndian.PutUint64(buf[0:], r.PC)
-	binary.LittleEndian.PutUint64(buf[8:], uint64(r.VA))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(r.PA))
-	binary.LittleEndian.PutUint16(buf[24:], r.Gap)
-	buf[26] = r.DepDist
-	buf[27] = r.Flags
-	if _, err := w.w.Write(buf[:]); err != nil {
-		return err
-	}
-	w.count++
-	return nil
-}
-
-// Count returns the number of records written.
-func (w *Writer) Count() uint64 { return w.count }
-
-// Flush flushes buffered output. Must be called before closing the
-// underlying writer.
-func (w *Writer) Flush() error { return w.w.Flush() }
-
-// FileReader decodes a binary trace stream.
-type FileReader struct {
-	r *bufio.Reader
-}
-
-// NewFileReader validates the header and returns a Reader.
-func NewFileReader(r io.Reader) (*FileReader, error) {
-	br := bufio.NewReader(r)
-	var hdr [5]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if [4]byte(hdr[:4]) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", hdr[:4])
-	}
-	if hdr[4] != formatVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", hdr[4])
-	}
-	return &FileReader{r: br}, nil
-}
-
-// Next implements Reader.
-func (f *FileReader) Next() (Record, error) {
-	var buf [recordSize]byte
-	if _, err := io.ReadFull(f.r, buf[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return Record{}, fmt.Errorf("trace: truncated record: %w", err)
-		}
-		return Record{}, err
-	}
-	return Record{
-		PC:      binary.LittleEndian.Uint64(buf[0:]),
-		VA:      memaddr.VAddr(binary.LittleEndian.Uint64(buf[8:])),
-		PA:      memaddr.PAddr(binary.LittleEndian.Uint64(buf[16:])),
-		Gap:     binary.LittleEndian.Uint16(buf[24:]),
-		DepDist: buf[26],
-		Flags:   buf[27],
-	}, nil
-}
-
 // Limit wraps r so that at most n records are produced.
 func Limit(r Reader, n uint64) Reader { return &limitReader{r: r, left: n} }
 
@@ -212,13 +101,13 @@ type limitReader struct {
 	left uint64
 }
 
-func (l *limitReader) Next() (Record, error) {
+func (l *limitReader) NextInto(rec *Record) error {
 	if l.left == 0 {
-		return Record{}, io.EOF
+		return io.EOF
 	}
-	rec, err := l.r.Next()
+	err := l.r.NextInto(rec)
 	if err == nil {
 		l.left--
 	}
-	return rec, err
+	return err
 }

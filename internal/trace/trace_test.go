@@ -1,13 +1,10 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"math/rand"
-	"reflect"
 	"testing"
-	"testing/quick"
 
 	"sipt/internal/memaddr"
 )
@@ -16,10 +13,10 @@ func TestRecordFlags(t *testing.T) {
 	ld := Record{Flags: 0}
 	st := Record{Flags: FlagStore}
 	hg := Record{Flags: FlagHuge}
-	if !ld.IsLoad() || ld.IsStore() || ld.Huge() {
+	if ld.IsStore() || ld.Huge() {
 		t.Error("load flags wrong")
 	}
-	if !st.IsStore() || st.IsLoad() {
+	if !st.IsStore() || st.Huge() {
 		t.Error("store flags wrong")
 	}
 	if !hg.Huge() || hg.IsStore() {
@@ -36,24 +33,21 @@ func TestRecordInstructions(t *testing.T) {
 func TestSliceReader(t *testing.T) {
 	recs := []Record{{PC: 1}, {PC: 2}, {PC: 3}}
 	r := NewSliceReader(recs)
+	var got Record
 	for i, want := range recs {
-		got, err := r.Next()
-		if err != nil {
+		if err := r.NextInto(&got); err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		if got != want {
 			t.Fatalf("record %d = %+v, want %+v", i, got, want)
 		}
 	}
-	if _, err := r.Next(); !errors.Is(err, io.EOF) {
+	if err := r.NextInto(&got); !errors.Is(err, io.EOF) {
 		t.Fatalf("expected EOF, got %v", err)
 	}
 	r.Reset()
-	if got, _ := r.Next(); got.PC != 1 {
+	if r.NextInto(&got); got.PC != 1 {
 		t.Error("Reset did not rewind")
-	}
-	if r.Len() != 3 {
-		t.Errorf("Len = %d, want 3", r.Len())
 	}
 }
 
@@ -86,94 +80,6 @@ func randomRecords(n int, seed int64) []Record {
 	return recs
 }
 
-func TestCodecRoundTrip(t *testing.T) {
-	recs := randomRecords(1000, 11)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Count() != 1000 {
-		t.Errorf("Count = %d, want 1000", w.Count())
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	fr, err := NewFileReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Collect(fr, 0)
-	if err != nil && !errors.Is(err, io.EOF) {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, recs) {
-		t.Fatal("round trip mismatch")
-	}
-}
-
-func TestCodecRoundTripProperty(t *testing.T) {
-	f := func(pc uint64, va, pa uint64, gap uint16, dep, flags uint8) bool {
-		rec := Record{PC: pc, VA: memaddr.VAddr(va), PA: memaddr.PAddr(pa),
-			Gap: gap, DepDist: dep, Flags: flags}
-		var buf bytes.Buffer
-		w, err := NewWriter(&buf)
-		if err != nil {
-			return false
-		}
-		if w.Write(rec) != nil || w.Flush() != nil {
-			return false
-		}
-		fr, err := NewFileReader(&buf)
-		if err != nil {
-			return false
-		}
-		got, err := fr.Next()
-		return err == nil && got == rec
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFileReaderBadMagic(t *testing.T) {
-	if _, err := NewFileReader(bytes.NewReader([]byte("XXXX\x01"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-}
-
-func TestFileReaderBadVersion(t *testing.T) {
-	if _, err := NewFileReader(bytes.NewReader([]byte("SIPT\x7f"))); err == nil {
-		t.Error("bad version accepted")
-	}
-}
-
-func TestFileReaderShortHeader(t *testing.T) {
-	if _, err := NewFileReader(bytes.NewReader([]byte("SI"))); err == nil {
-		t.Error("short header accepted")
-	}
-}
-
-func TestFileReaderTruncatedRecord(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf)
-	w.Write(Record{PC: 42})
-	w.Flush()
-	data := buf.Bytes()[:buf.Len()-3] // chop the last record
-	fr, err := NewFileReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fr.Next(); err == nil {
-		t.Error("truncated record not detected")
-	}
-}
-
 func TestLimit(t *testing.T) {
 	r := Limit(NewSliceReader(randomRecords(10, 3)), 4)
 	got, err := Collect(r, 0)
@@ -183,7 +89,8 @@ func TestLimit(t *testing.T) {
 	if len(got) != 4 {
 		t.Errorf("Limit yielded %d records, want 4", len(got))
 	}
-	if _, err := r.Next(); !errors.Is(err, io.EOF) {
+	var rec Record
+	if err := r.NextInto(&rec); !errors.Is(err, io.EOF) {
 		t.Error("Limit must return EOF after n records")
 	}
 }

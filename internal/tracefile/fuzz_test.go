@@ -59,13 +59,13 @@ func FuzzReadBuffer(f *testing.F) {
 		binary.LittleEndian.PutUint32(c[60:], crc)
 		return c
 	}
-	f.Add(mut(8, 0xffff, 2))          // version skew
-	f.Add(mut(10, 1, 2))              // unknown flag
-	f.Add(mut(12, 1<<31, 4))          // scenario out of range
-	f.Add(mut(24, 1<<62, 8))          // forged record count
-	f.Add(mut(32, 0, 4))              // zero chunk size
-	f.Add(mut(32, 1<<30, 4))          // huge chunk size
-	f.Add(mut(36, 1<<20, 4))          // huge app length
+	f.Add(mut(8, 0xffff, 2))                          // version skew
+	f.Add(mut(10, 1, 2))                              // unknown flag
+	f.Add(mut(12, 1<<31, 4))                          // scenario out of range
+	f.Add(mut(24, 1<<62, 8))                          // forged record count
+	f.Add(mut(32, 0, 4))                              // zero chunk size
+	f.Add(mut(32, 1<<30, 4))                          // huge chunk size
+	f.Add(mut(36, 1<<20, 4))                          // huge app length
 	f.Add(append(enc[:0:0], append(enc, 1, 2, 3)...)) // trailing bytes
 	// A validly checksummed header claiming 2^40 records (16 TiB) over
 	// a body of one short chunk: it must fail on the body, never on the

@@ -260,7 +260,7 @@ func Encode(meta Meta, buf *replay.Buffer) ([]byte, error) {
 
 // A Reader streams records out of the on-disk format, verifying the
 // header eagerly (at NewReader) and each chunk's CRC as it is loaded.
-// It implements trace.Reader and trace.InPlaceReader; decoding goes
+// It is a trace.Reader; decoding goes
 // through the same replay.UnpackRecord as in-memory replay.
 type Reader struct {
 	src       io.Reader
@@ -377,7 +377,7 @@ func (r *Reader) loadChunk() error {
 	return nil
 }
 
-// NextInto implements trace.InPlaceReader.
+// NextInto implements trace.Reader.
 func (r *Reader) NextInto(rec *trace.Record) error {
 	if r.pos >= len(r.chunk) {
 		if err := r.loadChunk(); err != nil {
@@ -387,13 +387,6 @@ func (r *Reader) NextInto(rec *trace.Record) error {
 	replay.UnpackRecord(r.chunk[r.pos], r.chunk[r.pos+1], rec)
 	r.pos += 2
 	return nil
-}
-
-// Next implements trace.Reader.
-func (r *Reader) Next() (trace.Record, error) {
-	var rec trace.Record
-	err := r.NextInto(&rec)
-	return rec, err
 }
 
 // ReadMeta validates the header of a stream and returns its identity

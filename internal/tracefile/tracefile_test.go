@@ -246,8 +246,8 @@ func TestRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestSniff pins the magic-based classification used by siptsim and
-// tracegen -inspect to tell the two on-disk formats apart.
+// TestSniff pins the magic check NewReader applies first: only the
+// full "SIPTRC\r\n" magic classifies as a trace file.
 func TestSniff(t *testing.T) {
 	meta := tracefile.Meta{App: "mcf", Scenario: vm.ScenarioNormal, Seed: 1}
 	enc, err := tracefile.Encode(meta, materialize(t, meta.App, meta.Scenario, meta.Seed, 100))

@@ -38,11 +38,11 @@ type stream struct {
 }
 
 // Generator produces the access trace for one profile, streamingly.
-// It implements trace.Reader and trace.Resetter. Each record has a
-// virtual half (PC, VA, gap, load-use distance, store flag), which
-// depends only on (profile, seed, limit), and a physical half (PA and
-// the huge flag), which NextInto maps live by translating the VA
-// against the system's shared buddy allocator. The virtual half comes
+// It implements trace.Reader. Each record has a virtual half (PC, VA,
+// gap, load-use distance, store flag), which depends only on (profile,
+// seed, limit), and a physical half (PA and the huge flag), which
+// NextInto maps live by translating the VA against the system's shared
+// buddy allocator. The virtual half comes
 // either from the seeded RNG drawer or from a recorded Program (see
 // Record and Program.Replay); both go through the same mapping code.
 // Reset restarts the pass: the virtual half is replayed identically —
@@ -277,16 +277,8 @@ func (g *Generator) teardown() {
 // Space exposes the backing address space (tools and tests inspect it).
 func (g *Generator) Space() *vm.AddressSpace { return g.as }
 
-// Next implements trace.Reader.
-func (g *Generator) Next() (trace.Record, error) {
-	var rec trace.Record
-	err := g.NextInto(&rec)
-	return rec, err
-}
-
-// NextInto implements trace.InPlaceReader; it is Next without the
-// record copy on return (the simulator's per-record hot path). The
-// record's virtual half is replayed from the program or drawn; either
+// NextInto implements trace.Reader (the simulator's per-record hot
+// path). The record's virtual half is replayed from the program or drawn; either
 // way it is then mapped here, by translating its VA live, and a
 // recording generator packs it onto its program.
 //

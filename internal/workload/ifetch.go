@@ -82,16 +82,16 @@ func NewIFetchGenerator(p Profile, sys *vm.System, seed int64, limit uint64) (*I
 	return g, nil
 }
 
-// Next implements trace.Reader: one record per fetched cache line.
-func (g *IFetchGenerator) Next() (trace.Record, error) {
+// NextInto implements trace.Reader: one record per fetched cache line.
+func (g *IFetchGenerator) NextInto(rec *trace.Record) error {
 	if g.limit != 0 && g.emitted >= g.limit {
-		return trace.Record{}, io.EOF
+		return io.EOF
 	}
 	f := g.funcs[g.cur]
 	va := f.base + memaddr.VAddr(g.cursor%f.size)
 	pa, huge, err := g.as.Translate(va)
 	if err != nil {
-		return trace.Record{}, err
+		return err
 	}
 	g.cursor += memaddr.LineBytes
 
@@ -115,10 +115,10 @@ func (g *IFetchGenerator) Next() (trace.Record, error) {
 	// indexed by branch/jump target would see it — fetch blocks within a
 	// function share the predictor entry, like iterations of a loop
 	// share a load PC on the data side.
-	rec := trace.Record{PC: uint64(f.base), VA: va, PA: pa, DepDist: 1}
+	*rec = trace.Record{PC: uint64(f.base), VA: va, PA: pa, DepDist: 1}
 	if huge {
 		rec.Flags |= trace.FlagHuge
 	}
 	g.emitted++
-	return rec, nil
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sipt/internal/memaddr"
+	"sipt/internal/trace"
 	"sipt/internal/vm"
 )
 
@@ -18,8 +19,9 @@ func TestIFetchGeneratorBasics(t *testing.T) {
 	var n int
 	lines := make(map[memaddr.VAddr]bool)
 	pcs := make(map[uint64]bool)
+	var rec trace.Record
 	for {
-		rec, err := g.Next()
+		err := g.NextInto(&rec)
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -61,8 +63,9 @@ func TestIFetchDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		var vas []uint64
+		var rec trace.Record
 		for {
-			rec, err := g.Next()
+			err := g.NextInto(&rec)
 			if errors.Is(err, io.EOF) {
 				break
 			}
@@ -95,8 +98,9 @@ func TestIFetchSingleDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	deltas := make(map[uint64]bool)
+	var rec trace.Record
 	for {
-		rec, err := g.Next()
+		err := g.NextInto(&rec)
 		if errors.Is(err, io.EOF) {
 			break
 		}

@@ -132,7 +132,7 @@ func TestGeneratorProducesRecords(t *testing.T) {
 	if len(recs) != 5000 {
 		t.Fatalf("got %d records, want 5000", len(recs))
 	}
-	if _, err := g.Next(); !errors.Is(err, io.EOF) {
+	if err := g.NextInto(&trace.Record{}); !errors.Is(err, io.EOF) {
 		t.Fatalf("expected EOF after limit, got %v", err)
 	}
 	var loads, stores, zeroPC int
@@ -168,8 +168,9 @@ func TestGeneratorTranslationConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var rec trace.Record
 	for {
-		rec, err := g.Next()
+		err := g.NextInto(&rec)
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -273,8 +274,9 @@ func TestGeneratorHotSetLocality(t *testing.T) {
 			t.Fatal(err)
 		}
 		lines := make(map[memaddr.VAddr]bool)
+		var rec trace.Record
 		for {
-			rec, err := g.Next()
+			err := g.NextInto(&rec)
 			if errors.Is(err, io.EOF) {
 				break
 			}
@@ -304,8 +306,9 @@ func TestGeneratorChurnChangesMappings(t *testing.T) {
 	// Record per-page PAs early and late; churn must remap some pages.
 	early := make(map[memaddr.VPN]memaddr.PFN)
 	var i int
+	var rec trace.Record
 	for {
-		rec, err := g.Next()
+		err := g.NextInto(&rec)
 		if errors.Is(err, io.EOF) {
 			break
 		}

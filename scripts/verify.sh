@@ -1,14 +1,27 @@
 #!/bin/sh
-# Repository verification gate: build, vet, siptlint, full test suite,
-# the race detector over all packages, and (when installed) govulncheck.
+# Repository verification gate: gofmt, build, vet (this module and
+# bench/siptperf), siptlint, full test suite, the race detector over all
+# packages, and (when installed) govulncheck.
 # CI and `make verify` both run exactly this script.
 set -eu
 cd "$(dirname "$0")/.."
 
+echo '== gofmt -l .'
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "verify: files not gofmt-clean:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 echo '== go build ./...'
 go build ./...
 echo '== go vet ./...'
 go vet ./...
+# bench/siptperf is its own module importing sipt/internal/..., so the
+# root ./... never compiles it: an API change that breaks the benchmark
+# would otherwise pass every step above.
+echo '== go build + vet bench/siptperf'
+(cd bench/siptperf && go build -o /dev/null ./... && go vet ./...)
 echo '== siptlint ./...'
 # The lint phase has a wall-clock budget: the analyzers are meant to be
 # cheap enough to run on every verify, and a blown budget means an
