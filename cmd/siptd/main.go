@@ -12,11 +12,12 @@
 //	      [-faults spec] [-fault-seed N] [-ready-timeout D]
 //
 // -store-dir enables the content-addressed persistent store
-// (internal/store): simulation results and materialised traces are
-// written under DIR/results and survive restarts — a warmed daemon
-// serves previously computed figures byte-identically without
-// re-simulating. It also enables trace ingestion (POST /v1/traces,
-// stored under DIR/traces) and replay-by-digest runs.
+// (internal/store): simulation results are written under DIR/results
+// and survive restarts — a warmed daemon serves previously computed
+// figures byte-identically without re-simulating. Synthetic traces are
+// regenerated on a result miss, never stored. It also enables trace
+// ingestion (POST /v1/traces, stored under DIR/traces) and
+// replay-by-digest runs.
 //
 // -journal-dir enables crash-safe serving (DESIGN.md §15): every
 // admission is journaled before the 202, sweep progress is checkpointed

@@ -6,13 +6,11 @@
 // Usage:
 //
 //	siptlint [-analyzers ctxflow,lockorder,...] [-list] [-json]
-//	         [-timing] [-cache=false] [packages]
+//	         [-timing] [packages]
 //
 // Packages default to ./... relative to the module root. Packages are
-// parsed and analysed in parallel, and results are cached under the
-// user cache dir keyed by a content hash of the module's sources — a
-// rerun with no source changes skips loading entirely (disable with
-// -cache=false, e.g. when bisecting the linter itself).
+// parsed and analysed in parallel; every run analyses from source (no
+// result cache), which takes a few seconds for the whole module.
 //
 // The exit code is 1 when any finding survives (findings can be
 // acknowledged in place with //siptlint:allow <analyzer>:
@@ -33,7 +31,6 @@ func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	timing := flag.Bool("timing", false, "report per-analyzer wall time on stderr")
-	useCache := flag.Bool("cache", true, "reuse cached results when sources are unchanged")
 	flag.Parse()
 
 	if *list {
@@ -56,25 +53,6 @@ func main() {
 		fatal(err)
 	}
 
-	// Cache probe: a hit skips the load-and-analyse phase entirely.
-	// Cache setup failures are not fatal — they just force a full run.
-	var cache *lint.Cache
-	var key string
-	if *useCache {
-		if c, cerr := lint.OpenCache(); cerr == nil {
-			if k, kerr := lint.CacheKey(wd, patterns, azs); kerr == nil {
-				cache, key = c, k
-				if diags, ok := c.Get(k); ok {
-					if *timing {
-						fmt.Fprintln(os.Stderr, "siptlint: cached result (no analysis ran)")
-					}
-					emit(diags, *jsonOut)
-					return
-				}
-			}
-		}
-	}
-
 	prog, err := lint.Load(wd, patterns...)
 	if err != nil {
 		fatal(err)
@@ -87,10 +65,6 @@ func main() {
 		for _, tm := range timings {
 			fmt.Fprintf(os.Stderr, "siptlint: %-14s %8.1fms\n", tm.Name, float64(tm.Elapsed.Microseconds())/1000)
 		}
-	}
-	if cache != nil {
-		// Best-effort: a full cache partition never fails the lint run.
-		_ = cache.Put(key, diags)
 	}
 	emit(diags, *jsonOut)
 }

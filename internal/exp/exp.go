@@ -67,8 +67,9 @@ type Options struct {
 	// local regardless.
 	Remote Remote
 	// Store, when non-nil, adds a persistent content-addressed tier
-	// under the memo cache and the trace pool (see store.go): results
-	// and materialised traces survive restarts and warm instantly.
+	// under the memo cache (see store.go): simulation results survive
+	// restarts and warm instantly. Synthetic traces are never stored; a
+	// result miss regenerates its trace.
 	// Like Remote it is fixed at construction and shared by every
 	// derived view; the field in a WithOptions argument is ignored.
 	Store *store.Store
@@ -114,8 +115,8 @@ type runnerShared struct {
 	// instead of the local simulator (Options.Remote; fixed at
 	// construction so all derived views dispatch consistently).
 	remote Remote
-	// store, when non-nil, is the persistent tier under cache and
-	// traces (Options.Store; fixed at construction).
+	// store, when non-nil, is the persistent tier under cache
+	// (Options.Store; fixed at construction).
 	store *store.Store
 	sims  atomic.Uint64
 	// degraded counts runs that fell back to live generation because the
@@ -139,9 +140,8 @@ type Runner struct {
 }
 
 // NewRunner creates a Runner with a fresh result cache and trace pool.
-// With Options.Store set, pool misses first try to revive the trace
-// from disk (checksum- and identity-verified) before regenerating, and
-// fresh materialisations are persisted for the next process.
+// A pool miss regenerates the trace from its workload profile; the
+// store, if any, holds results only.
 func NewRunner(opts Options) *Runner {
 	sh := &runnerShared{
 		cache:  memo.New[sim.Stats](opts.CacheEntries, 0),
@@ -149,20 +149,11 @@ func NewRunner(opts Options) *Runner {
 		store:  opts.Store,
 	}
 	sh.traces = replay.NewPool(int64(opts.TracePoolMB)<<20, 0, func(k replay.Key) (*replay.Buffer, error) {
-		if sh.store != nil {
-			if buf, ok := loadStoredTrace(sh.store, k); ok {
-				return buf, nil
-			}
-		}
 		prof, err := workload.Lookup(k.App)
 		if err != nil {
 			return nil, err
 		}
-		buf, err := sim.Materialize(prof, k.Scenario, k.Seed, k.Records)
-		if err == nil && sh.store != nil {
-			saveStoredTrace(sh.store, k, buf)
-		}
-		return buf, err
+		return sim.Materialize(prof, k.Scenario, k.Seed, k.Records)
 	})
 	return &Runner{opts: opts, sh: sh}
 }

@@ -1,8 +1,14 @@
 // Persistent-store integration: when Options.Store is set, the runner's
-// memo cache and trace pool gain an on-disk content-addressed tier, so
-// results and materialised traces survive process restarts. Layering:
+// memo cache gains an on-disk content-addressed tier, so simulation
+// results survive process restarts. Layering:
 //
 //	memo.Cache (RAM, singleflight)  ->  store.Store (disk)  ->  simulate
+//
+// Synthetic traces are not stored. They are fully determined by
+// (profile, scenario, seed, records), and regenerating one costs less
+// than encoding and fsyncing it (DESIGN.md §13), so a result miss
+// rematerialises its trace into the RAM pool. Uploaded traces live in
+// serve's separate trace store.
 //
 // Every stored result is keyed by SHA-256 over (trace digest, the full
 // memo key, a stats-schema fingerprint). The memo key already formats
@@ -17,7 +23,6 @@
 package exp
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"strconv"
@@ -25,7 +30,6 @@ import (
 	"sipt/internal/replay"
 	"sipt/internal/sim"
 	"sipt/internal/store"
-	"sipt/internal/tracefile"
 	"sipt/internal/vm"
 )
 
@@ -85,46 +89,6 @@ func (r *Runner) storePut(key store.Key, st sim.Stats) {
 	if r.sh.store.Put(key, blob) == nil && r.ckpt != nil {
 		r.ckpt(key)
 	}
-}
-
-// storedTraceKey addresses a materialised trace blob in the store. All
-// four fields of the pool key are in the address, so heterogeneous
-// views sharing one store never alias.
-//
-//sipt:memokey
-func storedTraceKey(k replay.Key) store.Key {
-	return store.KeyOf("trace", "v1", k.App, k.Scenario.String(),
-		strconv.FormatInt(k.Seed, 10), strconv.FormatUint(k.Records, 10))
-}
-
-// loadStoredTrace revives a pooled trace from disk, verifying both the
-// store's checksum and the trace file's own header and chunk CRCs, and
-// cross-checking the embedded metadata against the requested key (a
-// hash collision or a mis-filed blob must not replay the wrong trace).
-func loadStoredTrace(s *store.Store, k replay.Key) (*replay.Buffer, bool) {
-	blob, err := s.Get(storedTraceKey(k))
-	if err != nil {
-		return nil, false
-	}
-	meta, buf, err := tracefile.ReadBuffer(bytes.NewReader(blob))
-	if err != nil {
-		s.Delete(storedTraceKey(k))
-		return nil, false
-	}
-	if meta.App != k.App || meta.Scenario != k.Scenario || meta.Seed != k.Seed || meta.Records != k.Records {
-		s.Delete(storedTraceKey(k))
-		return nil, false
-	}
-	return buf, true
-}
-
-// saveStoredTrace persists a freshly materialised trace, best-effort.
-func saveStoredTrace(s *store.Store, k replay.Key, buf *replay.Buffer) {
-	enc, err := tracefile.Encode(tracefile.Meta{App: k.App, Scenario: k.Scenario, Seed: k.Seed}, buf)
-	if err != nil {
-		return
-	}
-	_ = s.Put(storedTraceKey(k), enc)
 }
 
 // StoreStats snapshots the persistent store's counters for the

