@@ -259,20 +259,41 @@ func BenchmarkWorkloadGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkGeneratorReset measures the quad-core recycle path: a
-// finished core's generator tears its address space down (ycsb's ~2,900
-// small-chunk VMAs unmapped in allocation order, frames back to the
-// buddy) and rebuilds it.
+// BenchmarkGeneratorReset measures the quad-core recycle path on 4 KiB
+// pages: a finished core's generator tears its address space down
+// (ycsb's ~2,900 small-chunk VMAs unmapped in allocation order, frames
+// back to the buddy) and rebuilds it.
 func BenchmarkGeneratorReset(b *testing.B) {
-	prof := workload.MustLookup("ycsb")
-	sys := sim.NewSystem(vm.ScenarioNormal, 1, prof)
-	gen, err := workload.NewGenerator(prof, sys, 1, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	gen := benchGenerator(b, "ycsb")
 	if n := len(gen.Space().VMAs()); n < 1000 {
 		b.Fatalf("ycsb maps %d VMAs, want the small-chunk-heavy layout", n)
 	}
+	benchReset(b, gen)
+}
+
+// BenchmarkGeneratorResetHuge is the same recycle path on huge pages:
+// mcf's big regions (95 % of 48 MiB) are promoted to 2 MiB pages, so
+// teardown releases whole page-table leaves and the rebuild's Touch
+// faults each region once.
+func BenchmarkGeneratorResetHuge(b *testing.B) {
+	gen := benchGenerator(b, "mcf")
+	if n := gen.Space().Stats().MappedHuge; n < 16 {
+		b.Fatalf("mcf maps %d huge regions, want its big regions promoted", n)
+	}
+	benchReset(b, gen)
+}
+
+func benchGenerator(b *testing.B, app string) *workload.Generator {
+	b.Helper()
+	prof := workload.MustLookup(app)
+	gen, err := workload.NewGenerator(prof, sim.NewSystem(vm.ScenarioNormal, 1, prof), 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return gen
+}
+
+func benchReset(b *testing.B, gen *workload.Generator) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -41,3 +41,24 @@ func benchSweep(b *testing.B, app string) {
 
 func BenchmarkRunConfigsLibquantum(b *testing.B) { benchSweep(b, "libquantum") }
 func BenchmarkRunConfigsYCSB(b *testing.B)       { benchSweep(b, "ycsb") }
+
+// BenchmarkRunMixConfigsShort is one Tab. III mix on the five Fig. 15
+// configs (baseline plus each SIPT geometry) at 1,250 records per core,
+// the size of siptperf's quad-mix set-up. At this length rebuilding
+// address spaces (each recycled pass's teardown and replayed set-up,
+// each sibling config's first replay) is a sizeable share of the CPU
+// time, so B/op and ns/op read out the recycle path beside the
+// simulation.
+func BenchmarkRunMixConfigsShort(b *testing.B) {
+	mix := workload.Mixes()[0]
+	cfgs := []Config{Baseline(cpu.OOO())}
+	for _, g := range SIPTGeometries() {
+		cfgs = append(cfgs, SIPT(cpu.OOO(), g[0], g[1], core.ModeCombined))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunMixConfigs(context.Background(), mix, cfgs, vm.ScenarioNormal, 1, 1_250); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

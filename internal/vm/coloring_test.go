@@ -88,56 +88,3 @@ func TestColoredSpacePreservesIndexBits(t *testing.T) {
 		t.Errorf("stats.Colored = %d, measured %d", st.Colored, colored)
 	}
 }
-
-func TestMapAliasResolvesToSameFrames(t *testing.T) {
-	b := NewBuddy(1 << 12)
-	as := NewAddressSpace(b, false)
-	target := as.Mmap(8 * memaddr.PageBytes)
-	if err := as.Touch(target, 8*memaddr.PageBytes); err != nil {
-		t.Fatal(err)
-	}
-	alias := as.Mmap(8 * memaddr.PageBytes) // reserve distinct VA range
-	if err := as.Munmap(alias, 8*memaddr.PageBytes); err != nil {
-		t.Fatal(err)
-	}
-	if err := as.MapAlias(alias, target, 8*memaddr.PageBytes); err != nil {
-		t.Fatal(err)
-	}
-	for off := uint64(0); off < 8*memaddr.PageBytes; off += 512 {
-		pa1, _, err := as.Translate(target + memaddr.VAddr(off))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pa2, _, err := as.Translate(alias + memaddr.VAddr(off))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pa1 != pa2 {
-			t.Fatalf("synonym diverged at +%#x: %#x vs %#x", off, pa1, pa2)
-		}
-	}
-}
-
-func TestMapAliasRejectsMisuse(t *testing.T) {
-	b := NewBuddy(1 << 12)
-	as := NewAddressSpace(b, false)
-	target := as.Mmap(4 * memaddr.PageBytes)
-	if err := as.MapAlias(target+1, target, memaddr.PageBytes); err == nil {
-		t.Error("unaligned alias accepted")
-	}
-	// Aliasing over an existing mapping must fail.
-	if err := as.Touch(target, memaddr.PageBytes); err != nil {
-		t.Fatal(err)
-	}
-	if err := as.MapAlias(target, target+memaddr.VAddr(memaddr.PageBytes), memaddr.PageBytes); err == nil {
-		t.Error("alias over mapped page accepted")
-	}
-	// Double-aliasing the same page must fail.
-	free := memaddr.VAddr(0x7e00_0000_0000)
-	if err := as.MapAlias(free, target, memaddr.PageBytes); err != nil {
-		t.Fatal(err)
-	}
-	if err := as.MapAlias(free, target, memaddr.PageBytes); err == nil {
-		t.Error("double alias accepted")
-	}
-}

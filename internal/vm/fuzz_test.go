@@ -114,7 +114,11 @@ func FuzzBuddy(f *testing.F) {
 // translation, the same errors, and equal Stats, VMAs and free block
 // counts after every operation. Because frames return to the buddy in
 // a fixed order, any change to the release order shows up as a
-// different frame on a later fault.
+// different frame on a later fault. One operation unmaps every VMA and
+// Resets the space for reuse, which must behave exactly as a new
+// refSpace on the same allocator: a page-table leaf reused with stale
+// entries, or a Touch that skips a region it did not map huge, shows
+// up as a different translation.
 //
 //	go test -run='^$' -fuzz=FuzzAddressSpaceMatchesReference ./internal/vm/
 func FuzzAddressSpaceMatchesReference(f *testing.F) {
@@ -150,6 +154,23 @@ func FuzzAddressSpaceMatchesReference(f *testing.F) {
 	}
 	frag = append(frag, 0x00, 0x85, 0x00, 0x01, 0xff, 0x00, 0x02, 0xff, 0x99)
 	f.Add(frag)
+	// THP on: a stray fault inside a future big VMA makes its first
+	// region fall back to 4 KiB while Touch promotes the second; a
+	// second VMA is touched from 128 KiB into its first region, which
+	// promotes, so Touch resumes at the next 2 MiB boundary.
+	f.Add([]byte{0x1f, 0x00,
+		0x02, 0x00, 0x85, 0x00, 0x83, 0x00, 0x01, 0x00, 0x00,
+		0x00, 0x83, 0x00, 0x01, 0x01, 0x88, 0x04, 0x01, 0x10,
+		0x03, 0x00, 0x00, 0x00, 0x81, 0x00, 0x01, 0x01, 0x00})
+	// THP on: reuse after huge mappings, so a small chunk's 4 KiB
+	// faults land in a recycled huge leaf; then reuse after a stray page,
+	// so the next small chunk's leaf is the one that held it.
+	f.Add([]byte{0x1f, 0x00,
+		0x00, 0x83, 0x00, 0x01, 0x00, 0x00, 0x05, 0x00, 0x00,
+		0x00, 0x07, 0x00, 0x01, 0x00, 0x02, 0x02, 0x00, 0x80, 0x04, 0x00, 0x05,
+		0x00, 0x83, 0x00, 0x01, 0x01, 0x00, 0x05, 0x00, 0x00,
+		0x00, 0x07, 0x00, 0x01, 0x00, 0x02, 0x04, 0x00, 0x80,
+		0x00, 0x81, 0x00, 0x01, 0x01, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -183,7 +204,7 @@ func FuzzAddressSpaceMatchesReference(f *testing.F) {
 		for op := 0; len(data) >= 3 && op < 128; op++ {
 			code, x, y := data[0], data[1], data[2]
 			data = data[3:]
-			switch code % 5 {
+			switch code % 6 {
 			case 0: // Mmap: small (1-32 pages) or big (1-8 MiB, 2 MiB-aligned)
 				size := uint64(1+x%32) * memaddr.PageBytes
 				if x&0x80 != 0 {
@@ -192,25 +213,29 @@ func FuzzAddressSpaceMatchesReference(f *testing.F) {
 				if got, want := as.Mmap(size), rs.Mmap(size); got != want {
 					t.Fatalf("op %d: Mmap(%d) = %#x, reference %#x", op, size, got, want)
 				}
-			case 1: // Touch a VMA (or a prefix of it)
+			case 1: // Touch a VMA, a prefix of it, or its tail from a page offset
 				a, ok := target(x)
 				if !ok {
 					continue
 				}
-				size := a.size
-				if y != 0 {
+				start, size := a.base, a.size
+				switch {
+				case y&0x80 != 0:
+					off := uint64(y&0x7f) << 14 % a.size
+					start, size = a.base+memaddr.VAddr(off), a.size-off
+				case y != 0:
 					size = min(size, uint64(y)*memaddr.PageBytes)
 				}
-				err := as.Touch(a.base, size)
+				err := as.Touch(start, size)
 				var rerr error
 				for off := uint64(0); off < size && rerr == nil; off += memaddr.PageBytes {
-					_, _, rerr = rs.Translate(a.base + memaddr.VAddr(off))
+					_, _, rerr = rs.Translate(start + memaddr.VAddr(off))
 				}
 				if (err == nil) != (rerr == nil) {
-					t.Fatalf("op %d: Touch(%#x, %d) err %v, reference %v", op, a.base, size, err, rerr)
+					t.Fatalf("op %d: Touch(%#x, %d) err %v, reference %v", op, start, size, err, rerr)
 				}
 				for off := uint64(0); off < size; off += memaddr.PageBytes {
-					checkLookup(op, a.base+memaddr.VAddr(off))
+					checkLookup(op, start+memaddr.VAddr(off))
 				}
 			case 2, 4: // Translate (case 4: Lookup first) inside a VMA or stray
 				var v memaddr.VAddr
@@ -244,6 +269,14 @@ func FuzzAddressSpaceMatchesReference(f *testing.F) {
 				if (err == nil) != (rerr == nil) {
 					t.Fatalf("op %d: Munmap(%#x, %d) err %v, reference %v", op, a.base, a.size, err, rerr)
 				}
+			case 5: // unmap every VMA in Mmap order, then reuse the space
+				for _, a := range append([]vma(nil), rs.vmas...) {
+					if err, rerr := as.Munmap(a.base, a.size), rs.Munmap(a.base, a.size); err != nil || rerr != nil {
+						t.Fatalf("op %d: Munmap(%#x, %d) err %v, reference %v", op, a.base, a.size, err, rerr)
+					}
+				}
+				as.Reset()
+				rs = newRefSpace(ref, thp)
 			}
 
 			if as.Stats() != rs.stats {

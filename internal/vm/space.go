@@ -58,21 +58,22 @@ type AddressSpace struct {
 	thp  bool
 	// dir is the flat page table: dir[(vpn-dirBase)>>leafBits] holds the
 	// leaf for that 2 MiB-aligned stripe of virtual space. VPNs below
-	// dirBase (never produced by Mmap) fall back to lowPages.
+	// dirBase (never produced by Mmap) fall back to lowPages. A nil leaf
+	// maps nothing; a leaf whose first entry is huge is one whole 2 MiB
+	// huge mapping (see installHuge).
 	dir      []*pageLeaf
 	lowPages map[memaddr.VPN]mapping
-	huge     map[uint64]memaddr.PFN // huge-region number (VA>>21) -> base PFN
-	vmas     []vma
-	next     memaddr.VAddr // next mmap base
-	stats    Stats
+	// spare holds leaves that Munmap and Reset took out of dir, for
+	// leafAt to reuse instead of allocating; they may hold stale
+	// mappings until leafAt zeroes them.
+	spare []*pageLeaf
+	vmas  []vma
+	next  memaddr.VAddr // next mmap base
+	stats Stats
 
 	// colored enables page-colored allocation (see coloring.go).
 	colored  bool
 	coloring ColoringStats
-
-	// aliases maps alias VPNs to their canonical VPN (synonyms): the
-	// alias resolves to whatever frame backs the canonical page.
-	aliases map[memaddr.VPN]memaddr.VPN
 }
 
 // MmapBase is the bottom of the simulated mmap region. Real processes
@@ -86,12 +87,26 @@ const dirBase = uint64(MmapBase) >> memaddr.PageShift
 // NewAddressSpace creates an empty address space backed by phys.
 // When thp is true, transparent huge pages are attempted on faults.
 func NewAddressSpace(phys *Buddy, thp bool) *AddressSpace {
-	return &AddressSpace{
-		phys: phys,
-		thp:  thp,
-		huge: make(map[uint64]memaddr.PFN),
-		next: MmapBase,
+	return &AddressSpace{phys: phys, thp: thp, next: MmapBase}
+}
+
+// Reset empties the address space for a new process on the same
+// system, leaving it as NewAddressSpace would: no VMAs, the next Mmap
+// at MmapBase, zeroed stats. Pages still mapped are dropped without
+// returning their frames to the allocator, exactly as discarding the
+// space would drop them, so callers Munmap every VMA first. The
+// page-table leaves are kept for later faults to reuse.
+func (as *AddressSpace) Reset() {
+	for li, leaf := range as.dir {
+		if leaf != nil {
+			as.releaseLeaf(uint64(li))
+		}
 	}
+	as.lowPages = nil
+	as.vmas = as.vmas[:0]
+	as.next = MmapBase
+	as.stats = Stats{}
+	as.coloring = ColoringStats{}
 }
 
 // page returns the mapping for vpn, or an invalid zero mapping. This is
@@ -121,28 +136,38 @@ func (as *AddressSpace) setPage(vpn memaddr.VPN, m mapping) {
 		as.lowPages[vpn] = m
 		return
 	}
-	li := idx >> leafBits
+	as.leafAt(idx >> leafBits)[idx&(leafSize-1)] = m
+}
+
+// leafAt returns leaf li of the page table, growing the directory and
+// installing an empty leaf as needed: a spare one, zeroed, when there
+// is one.
+func (as *AddressSpace) leafAt(li uint64) *pageLeaf {
 	if li >= uint64(len(as.dir)) {
 		grown := make([]*pageLeaf, li+1+li/2)
 		copy(grown, as.dir)
 		as.dir = grown
 	}
-	if as.dir[li] == nil {
-		as.dir[li] = new(pageLeaf)
+	if as.dir[li] != nil {
+		return as.dir[li]
 	}
-	as.dir[li][idx&(leafSize-1)] = m
+	var leaf *pageLeaf
+	if n := len(as.spare); n > 0 {
+		leaf = as.spare[n-1]
+		as.spare = as.spare[:n-1]
+		*leaf = pageLeaf{}
+	} else {
+		leaf = new(pageLeaf)
+	}
+	as.dir[li] = leaf
+	return leaf
 }
 
-// clearPage removes the mapping for vpn (no-op if absent).
-func (as *AddressSpace) clearPage(vpn memaddr.VPN) {
-	idx := uint64(vpn) - dirBase
-	if idx >= uint64(len(as.dir))<<leafBits {
-		delete(as.lowPages, vpn)
-		return
-	}
-	if leaf := as.dir[idx>>leafBits]; leaf != nil {
-		leaf[idx&(leafSize-1)] = mapping{}
-	}
+// releaseLeaf moves leaf li out of the page table onto the spare list,
+// so its 2 MiB range reads as unmapped again.
+func (as *AddressSpace) releaseLeaf(li uint64) {
+	as.spare = append(as.spare, as.dir[li])
+	as.dir[li] = nil
 }
 
 // THP reports whether transparent huge pages are enabled.
@@ -180,9 +205,11 @@ func (as *AddressSpace) vmaIndex(v memaddr.VAddr) int {
 }
 
 // Munmap releases a previously mapped region, returning its frames to
-// the buddy allocator. The base/size must exactly match a prior Mmap.
-// Unmapping the lowest VMA is O(1) in the VMA count, so releasing a
-// whole address space in Mmap order is linear overall.
+// the buddy allocator: its huge regions first, each as one whole leaf,
+// then its 4 KiB pages in ascending order. The base/size must exactly
+// match a prior Mmap. Unmapping the lowest VMA is O(1) in the VMA
+// count, and the 4 KiB sweep skips leaves that map nothing, so
+// releasing a whole address space in Mmap order costs what it maps.
 func (as *AddressSpace) Munmap(base memaddr.VAddr, size uint64) error {
 	size = memaddr.AlignUp(size, memaddr.PageBytes)
 	idx := as.vmaIndex(base)
@@ -195,30 +222,39 @@ func (as *AddressSpace) Munmap(base memaddr.VAddr, size uint64) error {
 		as.vmas = append(as.vmas[:idx], as.vmas[idx+1:]...)
 	}
 
-	// Free huge regions wholly inside the VMA.
-	firstHuge := uint64(base) >> memaddr.HugePageShift
-	lastHuge := (uint64(base) + size - 1) >> memaddr.HugePageShift
-	for h := firstHuge; h <= lastHuge; h++ {
-		if pfn, ok := as.huge[h]; ok {
-			delete(as.huge, h)
-			as.phys.Free(pfn, HugeOrder)
+	// Page-table indices of the VMA's first and last pages. Mmap bases
+	// start at MmapBase, so neither is below dirBase. A huge region lies
+	// wholly inside its VMA, and VMAs never overlap, so every huge leaf
+	// in this range belongs to this VMA.
+	first := uint64(base.PageNum()) - dirBase
+	last := uint64((base + memaddr.VAddr(size) - 1).PageNum()) - dirBase
+	end := min(last>>leafBits+1, uint64(len(as.dir))) // leaves past dir map nothing
+	for li := first >> leafBits; li < end; li++ {
+		if leaf := as.dir[li]; leaf != nil && leaf[0].huge {
+			as.phys.Free(leaf[0].pfn, HugeOrder)
+			as.releaseLeaf(li)
 			as.stats.MappedHuge--
-			// Remove the 4 KiB page-table shadows for the region.
-			baseVPN := memaddr.VPN(h << memaddr.HugeExtraBits)
-			for i := memaddr.VPN(0); i < 512; i++ {
-				as.clearPage(baseVPN + i)
-				as.stats.MappedPages--
-			}
+			as.stats.MappedPages -= leafSize
 		}
 	}
-	// Free remaining 4 KiB pages.
-	firstVPN := base.PageNum()
-	lastVPN := (base + memaddr.VAddr(size) - 1).PageNum()
-	for vpn := firstVPN; vpn <= lastVPN; vpn++ {
-		if m := as.page(vpn); m.valid && !m.huge {
-			as.clearPage(vpn)
-			as.phys.Free(m.pfn, 0)
-			as.stats.MappedPages--
+	for li := first >> leafBits; li < end; li++ {
+		leaf := as.dir[li]
+		if leaf == nil {
+			continue
+		}
+		lo, hi := uint64(0), uint64(leafSize-1)
+		if li == first>>leafBits {
+			lo = first & (leafSize - 1)
+		}
+		if li == last>>leafBits {
+			hi = last & (leafSize - 1)
+		}
+		for j := lo; j <= hi; j++ {
+			if m := leaf[j]; m.valid {
+				leaf[j] = mapping{}
+				as.phys.Free(m.pfn, 0)
+				as.stats.MappedPages--
+			}
 		}
 	}
 	return nil
@@ -275,14 +311,6 @@ func (as *AddressSpace) Translate(v memaddr.VAddr) (memaddr.PAddr, bool, error) 
 	if m := as.page(vpn); m.valid {
 		return m.pfn.Addr(v.Offset()), m.huge, nil
 	}
-	if as.aliases != nil {
-		if canon, ok := as.aliases[vpn]; ok {
-			// Synonym: resolve through the canonical page (faulting it in
-			// if needed), preserving the alias's own offset.
-			pa, huge, err := as.Translate(canon.Addr(v.Offset()))
-			return pa, huge, err
-		}
-	}
 	// Fault path.
 	as.stats.Faults++
 	if as.hugeEligible(v) {
@@ -320,44 +348,18 @@ func (as *AddressSpace) Translate(v memaddr.VAddr) (memaddr.PAddr, bool, error) 
 	return pfn.Addr(v.Offset()), false, nil
 }
 
-// MapAlias creates synonym mappings: size bytes starting at alias
-// resolve to the same physical pages as the range starting at target
-// (both page-aligned). This is the OS behaviour that makes VIVT caches
-// hard (Sec. II-B) and that SIPT handles for free, because contents are
-// physically indexed and tagged.
-func (as *AddressSpace) MapAlias(alias, target memaddr.VAddr, size uint64) error {
-	if alias.Offset() != 0 || target.Offset() != 0 {
-		return fmt.Errorf("vm: MapAlias requires page-aligned addresses")
-	}
-	if as.aliases == nil {
-		as.aliases = make(map[memaddr.VPN]memaddr.VPN)
-	}
-	pages := memaddr.AlignUp(size, memaddr.PageBytes) / memaddr.PageBytes
-	for i := memaddr.VPN(0); i < memaddr.VPN(pages); i++ {
-		avpn := alias.PageNum() + i
-		if as.page(avpn).valid {
-			return fmt.Errorf("vm: alias page %#x already mapped", uint64(avpn))
-		}
-		if _, aliased := as.aliases[avpn]; aliased {
-			return fmt.Errorf("vm: alias page %#x already aliased", uint64(avpn))
-		}
-		as.aliases[avpn] = target.PageNum() + i
-	}
-	return nil
-}
-
 // installHuge maps the 2 MiB region containing v to the 512-frame
-// physical block starting at base, shadowing each 4 KiB page so
-// Translate stays a single map lookup.
+// physical block starting at base. The region is exactly one leaf of
+// the page table (MmapBase is 2 MiB-aligned and hugeEligible keeps v
+// inside a VMA), so it writes that leaf directly, one entry per 4 KiB
+// page, and Translate stays two array dereferences.
 func (as *AddressSpace) installHuge(v memaddr.VAddr, base memaddr.PFN) {
-	h := uint64(v) >> memaddr.HugePageShift
-	as.huge[h] = base
-	as.stats.MappedHuge++
-	baseVPN := memaddr.VPN(h << memaddr.HugeExtraBits)
-	for i := memaddr.VPN(0); i < 512; i++ {
-		as.setPage(baseVPN+i, mapping{pfn: base + memaddr.PFN(i), huge: true, valid: true})
-		as.stats.MappedPages++
+	leaf := as.leafAt((uint64(v.PageNum()) - dirBase) >> leafBits)
+	for i := range leaf {
+		leaf[i] = mapping{pfn: base + memaddr.PFN(i), huge: true, valid: true}
 	}
+	as.stats.MappedHuge++
+	as.stats.MappedPages += leafSize
 }
 
 // Lookup resolves a virtual address without faulting. ok is false if
@@ -372,11 +374,20 @@ func (as *AddressSpace) Lookup(v memaddr.VAddr) (pa memaddr.PAddr, huge, ok bool
 
 // Touch pre-faults every page in [base, base+size), as a workload's
 // initialisation phase would. Faulting order is ascending, matching a
-// memset/stream-init access pattern.
+// memset/stream-init access pattern. A page mapped huge means its whole
+// 2 MiB region is mapped, so Touch resumes at the next 2 MiB boundary
+// instead of translating the region's remaining pages, which could
+// neither fault nor change anything.
 func (as *AddressSpace) Touch(base memaddr.VAddr, size uint64) error {
 	for off := uint64(0); off < size; off += memaddr.PageBytes {
-		if _, _, err := as.Translate(base + memaddr.VAddr(off)); err != nil {
+		v := base + memaddr.VAddr(off)
+		_, huge, err := as.Translate(v)
+		if err != nil {
 			return err
+		}
+		if huge {
+			// Step to the region's last page; the loop steps past it.
+			off += (memaddr.HugePageBytes - 1 - uint64(v)&(memaddr.HugePageBytes-1)) &^ (memaddr.PageBytes - 1)
 		}
 	}
 	return nil

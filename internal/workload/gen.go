@@ -109,7 +109,7 @@ func NewGenerator(p Profile, sys *vm.System, seed int64, limit uint64) (*Generat
 func (g *Generator) setup() error {
 	p := g.prof
 	g.rng = rand.New(rand.NewSource(g.seed ^ int64(hashName(p.Name))))
-	g.as = g.sys.NewSpace()
+	g.emptySpace()
 	g.chunks = g.chunks[:0]
 	g.smallIdx = g.smallIdx[:0]
 	g.bigIdx = g.bigIdx[:0]
@@ -197,6 +197,18 @@ func (g *Generator) setup() error {
 	return nil
 }
 
+// emptySpace gives the pass an empty address space: a new one from the
+// system on the first pass, and on later passes the one teardown
+// emptied, Reset so its page-table leaves are reused rather than
+// reallocated.
+func (g *Generator) emptySpace() {
+	if g.as == nil {
+		g.as = g.sys.NewSpace()
+		return
+	}
+	g.as.Reset()
+}
+
 // mapChunk maps one setup chunk — Mmap, then Touch for big regions and,
 // when the profile pre-touches, small chunks — and appends it to the
 // chunk table. It returns the chunk's base.
@@ -234,11 +246,14 @@ func hashName(s string) uint64 {
 // Reset restarts the pass from the beginning, so PCs, VAs and gaps
 // repeat: a Record generator whose first pass completed (and a Replay
 // one) replays its program, any other generator redraws from its seed.
-// The address space is rebuilt, so physical frames are re-mapped from
-// the allocator's *current* state; for deterministic PAs across resets
-// the caller should materialise the trace (trace.Collect) instead.
-// Reset exists for the multicore recycle loop, where "same program,
-// later mapping" is exactly what rerunning a real binary would do.
+// The address space is torn down and faulted in again, so physical
+// frames are re-mapped from the allocator's *current* state; for
+// deterministic PAs across resets the caller should materialise the
+// trace (trace.Collect) instead. The space object itself, and its
+// page-table leaves, are reused, so the rebuild costs the buddy calls
+// and one page-table write per mapping, not a new page table. Reset
+// exists for the multicore recycle loop, where "same program, later
+// mapping" is exactly what rerunning a real binary would do.
 func (g *Generator) Reset() {
 	g.teardown()
 	if g.prog != nil && !g.prog.complete() {
@@ -260,10 +275,12 @@ func (g *Generator) Reset() {
 	}
 }
 
-// teardown releases the generator's address space back to the system.
-// Chunks unmap in allocation order, which fixes the order frames return
-// to the buddy and so the frames every later fault draws. The chunk
-// slice keeps its capacity for the next setup.
+// teardown releases the generator's frames back to the system by
+// unmapping every chunk, leaving the address space empty for the next
+// pass to Reset and reuse. Chunks unmap in allocation order, which
+// fixes the order frames return to the buddy and so the frames every
+// later fault draws. The chunk slice keeps its capacity for the next
+// setup.
 func (g *Generator) teardown() {
 	for _, c := range g.chunks {
 		// Munmap only fails for unknown regions; ours are tracked.
@@ -275,6 +292,7 @@ func (g *Generator) teardown() {
 }
 
 // Space exposes the backing address space (tools and tests inspect it).
+// The same space serves every pass: Reset empties and refills it.
 func (g *Generator) Space() *vm.AddressSpace { return g.as }
 
 // NextInto implements trace.Reader (the simulator's per-record hot

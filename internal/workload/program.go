@@ -14,7 +14,7 @@ import (
 // happens at, and each record's PC, VA, gap, load-use distance and
 // store flag. All of it depends only on (profile, seed, limit) — VAs
 // come from the address space's own deterministic Mmap bases — so a
-// replay that applies the same address-space operations to a fresh
+// replay that applies the same address-space operations to an empty
 // space at the same record positions, and translates every VA live,
 // issues exactly the buddy operations the drawing generator would and
 // yields the same frames. A Program is immutable once complete and may
@@ -120,7 +120,7 @@ func (g *Generator) Program() *Program {
 
 // Replay returns a generator that replays the program against sys: its
 // setup and every Reset apply the recorded address-space operations to
-// a fresh space, and each record's VA is translated live.
+// an empty space, and each record's VA is translated live.
 func (p *Program) Replay(sys *vm.System) (*Generator, error) {
 	g := &Generator{prof: p.prof, sys: sys, limit: p.limit, prog: p, replay: true}
 	if err := g.replaySetup(); err != nil {
@@ -129,10 +129,10 @@ func (p *Program) Replay(sys *vm.System) (*Generator, error) {
 	return g, nil
 }
 
-// replaySetup rebuilds the recorded chunk table in a fresh address
+// replaySetup rebuilds the recorded chunk table in an empty address
 // space, checking that each Mmap lands on the recorded base.
 func (g *Generator) replaySetup() error {
-	g.as = g.sys.NewSpace()
+	g.emptySpace()
 	if g.chunks == nil {
 		g.chunks = make([]chunk, 0, len(g.prog.chunks))
 	}
