@@ -44,31 +44,35 @@ func renderExperiment(t *testing.T, id string, opts Options) string {
 	return b.String()
 }
 
-// TestGoldenTables asserts that the hot-path optimisations never change
-// experiment output: fig6/fig9/fig13 (single-core) and fig15 (the
-// coupled quad-core mixes, including the generator recycle path) must
-// render byte-identically to the golden output captured from the
-// pre-optimisation implementation. Regenerate (only after an
-// intentional semantic change) with:
+// goldenCase pins the options an experiment's golden table was
+// generated with: goldenOpts for every experiment except Fig. 15, which
+// runs every Tab. III mix under five configurations, each core
+// recycling its trace until the slowest finishes. A short per-core
+// trace keeps it cheap (also under -race) while still crossing
+// generator Resets.
+func goldenCase(id string) Options {
+	if id == "fig15" {
+		return Options{Records: 2_000, Seed: 1, Workers: 2}
+	}
+	return goldenOpts()
+}
+
+// goldenPath is the golden file of one experiment.
+func goldenPath(id string) string {
+	return filepath.Join("testdata", "golden_"+id+".txt")
+}
+
+// TestGoldenTables asserts that refactors and hot-path optimisations
+// never change experiment output: every experiment in All() must
+// render byte-identically to its golden file. Regenerate (only after
+// an intentional semantic change) with:
 //
 //	go test ./internal/exp -run TestGoldenTables -update
 func TestGoldenTables(t *testing.T) {
-	for _, c := range []struct {
-		id   string
-		opts Options
-	}{
-		{"fig6", goldenOpts()},
-		{"fig9", goldenOpts()},
-		{"fig13", goldenOpts()},
-		// Fig. 15 runs every Tab. III mix under five configurations, each
-		// core recycling its trace until the slowest finishes: a short
-		// per-core trace keeps it cheap (also under -race) while still
-		// crossing generator Resets.
-		{"fig15", Options{Records: 2_000, Seed: 1, Workers: 2}},
-	} {
-		t.Run(c.id, func(t *testing.T) {
-			got := renderExperiment(t, c.id, c.opts)
-			path := filepath.Join("testdata", "golden_"+c.id+".txt")
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			got := renderExperiment(t, e.ID, goldenCase(e.ID))
+			path := goldenPath(e.ID)
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -84,20 +88,32 @@ func TestGoldenTables(t *testing.T) {
 			}
 			if got != string(want) {
 				t.Errorf("%s table output drifted from golden output.\n--- got ---\n%s\n--- want ---\n%s",
-					c.id, got, want)
+					e.ID, got, want)
 			}
 		})
 	}
 }
 
-// TestGoldenDeterminism asserts a single experiment renders identically
-// across two independent runners (fresh caches, parallel workers): the
-// byte-identical-output gate that makes the benchmark harness
-// trustworthy.
+// TestGoldenDeterminism renders every experiment once more on a fresh
+// runner with a single worker and compares it to the golden file, which
+// was rendered with two: results must come back by position whatever
+// the concurrency, the byte-identical-output gate that makes the
+// benchmark harness trustworthy.
 func TestGoldenDeterminism(t *testing.T) {
-	a := renderExperiment(t, "fig6", goldenOpts())
-	b := renderExperiment(t, "fig6", goldenOpts())
-	if a != b {
-		t.Errorf("fig6 output not deterministic across runs:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+	if *updateGolden {
+		t.Skip("golden files are being rewritten")
+	}
+	for _, e := range All() {
+		opts := goldenCase(e.ID)
+		opts.Workers = 1
+		got := renderExperiment(t, e.ID, opts)
+		want, err := os.ReadFile(goldenPath(e.ID))
+		if err != nil {
+			t.Fatalf("missing golden file (run TestGoldenTables with -update): %v", err)
+		}
+		if got != string(want) {
+			t.Errorf("%s output with one worker differs from the golden output:\n--- got ---\n%s\n--- want ---\n%s",
+				e.ID, got, want)
+		}
 	}
 }
