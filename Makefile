@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint vet vuln verify bench fuzz serve-smoke fabric-smoke store-smoke crash-smoke chaos
+.PHONY: all build test race lint vet vuln verify bench results fuzz serve-smoke fabric-smoke store-smoke crash-smoke chaos
 
 all: verify
 
@@ -45,6 +45,16 @@ verify:
 bench:
 	cd bench/siptperf && $(GO) test ./...
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# Results record: re-run the full evaluation at the trace length
+# results_full.txt was made with and fail on any difference, so the
+# committed record cannot go stale. results_full.log holds only
+# per-experiment timings and is not compared. About 1 min on 2 vCPUs.
+results:
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+		$(GO) run ./cmd/siptbench -records 250000 >"$$out" && \
+		diff -u results_full.txt "$$out" && \
+		echo 'results: results_full.txt is current'
 
 # Service smoke: boot siptd on an ephemeral port, drive a run and a
 # sweep through the HTTP API, then SIGTERM and require a clean drain.

@@ -6,16 +6,22 @@
 //	siptbench [flags] [experiment ...]
 //
 // With no arguments it runs every experiment in paper order. Experiment
-// ids: tab1 fig1 tab2 fig2 fig3 fig5 fig6 fig7 fig9 fig12 fig13 fig14
-// tab3 fig15 fig16 fig17 fig18.
+// ids (`siptbench -list` prints them with their titles and is the
+// authority): tab1 fig1 tab2 fig2 fig3 fig5 fig6 fig7 fig9 fig12 fig13
+// fig14 tab3 fig15 fig16 fig17 fig18, the ablations abl-pred abl-idb
+// abl-slow abl-way, and the extensions ext-replay ext-coloring
+// ext-icache.
 //
 // Flags:
 //
-//	-records N   per-app trace length (default 300000)
-//	-seed N      deterministic seed (default 1)
-//	-apps list   comma-separated app subset (default: the 26 figure apps)
-//	-csv         emit CSV instead of aligned text
-//	-list        list experiment ids and exit
+//	-records N     per-app trace length (default 300000)
+//	-seed N        deterministic seed (default 1)
+//	-apps list     comma-separated app subset (default: the 26 figure apps)
+//	-workers N     concurrent simulations (default 0 = GOMAXPROCS)
+//	-timeout D     abort the whole run after duration D (default 0 = no limit)
+//	-csv           emit CSV instead of aligned text
+//	-markdown      emit Markdown tables instead of aligned text
+//	-list          list experiment ids and exit
 //	-cpuprofile P  write a CPU profile to P (view with go tool pprof)
 //	-memprofile P  write an end-of-run heap profile to P
 //

@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"errors"
 	"fmt"
-	"io"
 
 	"sipt/internal/cache"
 	"sipt/internal/core"
@@ -51,54 +49,30 @@ func AblationPredictor(r *Runner) ([]*report.Table, error) {
 		Columns: cols,
 	}
 	const bits = 2
-	type row struct{ acc []float64 }
-	rows, err := forEachApp(r, func(app string) (row, error) {
-		gen, err := r.traceReader(app, vm.ScenarioNormal)
+	return appTable(r, t, repeatMean(amean, len(designs)), func(app string) ([]float64, error) {
+		rd, err := r.traceReader(app, vm.ScenarioNormal)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
 		preds := make([]bypassPredictor, len(designs))
 		for i, d := range designs {
 			preds[i] = d.mk()
 		}
-		var rec trace.Record
-		for {
-			err := gen.NextInto(&rec)
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return row{}, err
-			}
+		err = eachRecord(rd, func(rec *trace.Record) {
 			unchanged := memaddr.BitsUnchanged(rec.VA, rec.PA, bits)
 			for _, p := range preds {
 				p.Train(rec.PC, p.Predict(rec.PC), unchanged)
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
-		rw := row{acc: make([]float64, len(preds))}
+		acc := make([]float64, len(preds))
 		for i, p := range preds {
-			rw.acc[i] = p.Stats().Accuracy()
+			acc[i] = p.Stats().Accuracy()
 		}
-		return rw, nil
+		return acc, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	sums := make([][]float64, len(designs))
-	for i, app := range r.opts.apps() {
-		cells := []string{app}
-		for j, v := range rows[i].acc {
-			cells = append(cells, report.F(v))
-			sums[j] = append(sums[j], v)
-		}
-		t.AddRow(cells...)
-	}
-	avg := []string{"Average"}
-	for _, vs := range sums {
-		avg = append(avg, report.F(amean(vs)))
-	}
-	t.AddRow(avg...)
-	return []*report.Table{t}, nil
 }
 
 // AblationIDB sweeps the index delta buffer entry count, showing the
@@ -116,56 +90,32 @@ func AblationIDB(r *Runner) ([]*report.Table, error) {
 		Columns: cols,
 	}
 	const bits = 2
-	type row struct{ hit []float64 }
-	rows, err := forEachApp(r, func(app string) (row, error) {
-		gen, err := r.traceReader(app, vm.ScenarioNormal)
+	return appTable(r, t, repeatMean(amean, len(entryCounts)), func(app string) ([]float64, error) {
+		rd, err := r.traceReader(app, vm.ScenarioNormal)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
 		idbs := make([]*predictor.IDB, len(entryCounts))
 		for i, n := range entryCounts {
 			idbs[i] = predictor.NewIDBSized(bits, n, false, r.opts.Seed)
 		}
-		var rec trace.Record
-		for {
-			err := gen.NextInto(&rec)
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return row{}, err
-			}
+		err = eachRecord(rd, func(rec *trace.Record) {
 			page := uint64(rec.VA.PageNum())
 			trueDelta := memaddr.IndexDelta(rec.VA, rec.PA, bits)
 			for _, idb := range idbs {
 				d, ok := idb.Predict(rec.PC, page)
 				idb.Train(rec.PC, page, trueDelta, ok, ok && d == trueDelta)
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
-		rw := row{hit: make([]float64, len(idbs))}
+		hit := make([]float64, len(idbs))
 		for i, idb := range idbs {
-			rw.hit[i] = idb.Stats().HitRate()
+			hit[i] = idb.Stats().HitRate()
 		}
-		return rw, nil
+		return hit, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	sums := make([][]float64, len(entryCounts))
-	for i, app := range r.opts.apps() {
-		cells := []string{app}
-		for j, v := range rows[i].hit {
-			cells = append(cells, report.F(v))
-			sums[j] = append(sums[j], v)
-		}
-		t.AddRow(cells...)
-	}
-	avg := []string{"Average"}
-	for _, vs := range sums {
-		avg = append(avg, report.F(amean(vs)))
-	}
-	t.AddRow(avg...)
-	return []*report.Table{t}, nil
 }
 
 // AblationWayPredictor compares the paper's evaluated MRU way
@@ -180,18 +130,17 @@ func AblationWayPredictor(r *Runner) ([]*report.Table, error) {
 			"robust, and lowering associativity (SIPT) raises it further",
 		Columns: []string{"app", "mru-8way", "pc-8way", "mru-2way", "pc-2way"},
 	}
-	type row struct{ acc [4]float64 }
-	rows, err := forEachApp(r, func(app string) (row, error) {
-		var rw row
-		gen, err := r.traceReader(app, vm.ScenarioNormal)
+	return appTable(r, t, []mean{amean, amean, amean, amean}, func(app string) ([]float64, error) {
+		rd, err := r.traceReader(app, vm.ScenarioNormal)
 		if err != nil {
-			return rw, err
+			return nil, err
 		}
-		recs, err := trace.Collect(gen, 0)
+		recs, err := trace.Collect(rd, 0)
 		if err != nil {
-			return rw, err
+			return nil, err
 		}
-		for gi, ways := range []int{8, 2} {
+		acc := make([]float64, 0, 4)
+		for _, ways := range []int{8, 2} {
 			c := cache.New(cache.Config{
 				Name: "L1", SizeBytes: 32 << 10, Ways: ways, LineBytes: 64,
 			})
@@ -207,26 +156,10 @@ func AblationWayPredictor(r *Runner) ([]*report.Table, error) {
 				mru.Update(rec.PC, set, res.Way)
 				pcw.Update(rec.PC, set, res.Way)
 			}
-			rw.acc[gi*2] = mru.Stats().Accuracy()
-			rw.acc[gi*2+1] = pcw.Stats().Accuracy()
+			acc = append(acc, mru.Stats().Accuracy(), pcw.Stats().Accuracy())
 		}
-		return rw, nil
+		return acc, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	var sums [4][]float64
-	for i, app := range r.opts.apps() {
-		rw := rows[i]
-		t.AddRow(app, report.F(rw.acc[0]), report.F(rw.acc[1]),
-			report.F(rw.acc[2]), report.F(rw.acc[3]))
-		for j := range sums {
-			sums[j] = append(sums[j], rw.acc[j])
-		}
-	}
-	t.AddRow("Average", report.F(amean(sums[0])), report.F(amean(sums[1])),
-		report.F(amean(sums[2])), report.F(amean(sums[3])))
-	return []*report.Table{t}, nil
 }
 
 // AblationSlowPath quantifies each piece of the SIPT design on the
@@ -242,36 +175,20 @@ func AblationSlowPath(r *Runner) ([]*report.Table, error) {
 	}
 	modes := []core.Mode{core.ModeVIPT, core.ModeNaive, core.ModeBypass,
 		core.ModeCombined, core.ModeIdeal}
-	type row struct{ rel [5]float64 }
-	rows, err := forEachApp(r, func(app string) (row, error) {
-		var rw row
+	return appTable(r, t, repeatMean(hmean, len(modes)), func(app string) ([]float64, error) {
 		cfgs := []sim.Config{sim.Baseline(cpu.OOO())}
 		for _, m := range modes {
 			cfgs = append(cfgs, sim.SIPT(cpu.OOO(), 32, 2, m))
 		}
 		sts, err := r.RunConfigs(app, cfgs, vm.ScenarioNormal)
 		if err != nil {
-			return rw, err
+			return nil, err
 		}
 		b := sts[0]
+		rel := make([]float64, len(modes))
 		for i := range modes {
-			rw.rel[i] = sts[i+1].IPC() / b.IPC()
+			rel[i] = sts[i+1].IPC() / b.IPC()
 		}
-		return rw, nil
+		return rel, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	var sums [5][]float64
-	for i, app := range r.opts.apps() {
-		rw := rows[i]
-		t.AddRow(app, report.F(rw.rel[0]), report.F(rw.rel[1]), report.F(rw.rel[2]),
-			report.F(rw.rel[3]), report.F(rw.rel[4]))
-		for j := range sums {
-			sums[j] = append(sums[j], rw.rel[j])
-		}
-	}
-	t.AddRow("Average", report.F(hmean(sums[0])), report.F(hmean(sums[1])),
-		report.F(hmean(sums[2])), report.F(hmean(sums[3])), report.F(hmean(sums[4])))
-	return []*report.Table{t}, nil
 }

@@ -253,22 +253,21 @@ func (r *Runner) Run(app string, cfg sim.Config, sc vm.Scenario) (sim.Stats, err
 		func(cfgs []sim.Config) ([]sim.Stats, error) { return r.simulate(app, cfgs, sc) })
 }
 
-// forEachApp runs fn over the app list with bounded concurrency and
-// returns results in app order.
-func forEachApp[T any](r *Runner, fn func(app string) (T, error)) ([]T, error) {
-	apps := r.opts.apps()
-	out := make([]T, len(apps))
-	errs := make([]error, len(apps))
+// forEach runs fn over items with at most Options.Workers calls in
+// flight and returns the results by position: out[i] is fn(items[i]).
+func forEach[S, T any](r *Runner, items []S, fn func(S) (T, error)) ([]T, error) {
+	out := make([]T, len(items))
+	errs := make([]error, len(items))
 	sem := make(chan struct{}, r.opts.workers())
 	var wg sync.WaitGroup
-	for i, app := range apps {
+	for i, it := range items {
 		wg.Add(1)
-		go func(i int, app string) {
+		go func(i int, it S) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			out[i], errs[i] = fn(app)
-		}(i, app)
+			out[i], errs[i] = fn(it)
+		}(i, it)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -277,6 +276,62 @@ func forEachApp[T any](r *Runner, fn func(app string) (T, error)) ([]T, error) {
 		}
 	}
 	return out, nil
+}
+
+// A mean averages one column of a results table: hmean for speedups,
+// amean for fractions and energies, as the paper does.
+type mean func([]float64) float64
+
+// repeatMean is n columns averaged the same way.
+func repeatMean(m mean, n int) []mean {
+	ms := make([]mean, n)
+	for i := range ms {
+		ms[i] = m
+	}
+	return ms
+}
+
+// appTable is the layout of the paper's per-app figures: row computes
+// one value per column for each app (concurrently, see forEach), and t
+// gets one row per app in app order followed by an Average row whose
+// j-th cell is means[j] over column j. It returns t as the experiment's
+// one table.
+func appTable(r *Runner, t *report.Table, means []mean,
+	row func(app string) ([]float64, error)) ([]*report.Table, error) {
+	apps := r.opts.apps()
+	vals, err := forEach(r, apps, row)
+	if err != nil {
+		return nil, err
+	}
+	addRows(t, apps, vals)
+	averageRow(t, "Average", means, vals)
+	return []*report.Table{t}, nil
+}
+
+// addRows adds one row per label: the label, then vals[i] formatted
+// with report.F.
+func addRows(t *report.Table, labels []string, vals [][]float64) {
+	for i, label := range labels {
+		cells := []string{label}
+		for _, v := range vals[i] {
+			cells = append(cells, report.F(v))
+		}
+		t.AddRow(cells...)
+	}
+}
+
+// averageRow adds one row: the label, then means[j] over column j of
+// vals, in row order.
+func averageRow(t *report.Table, label string, means []mean, vals [][]float64) {
+	cells := []string{label}
+	col := make([]float64, len(vals))
+	for j, m := range means {
+		for i, v := range vals {
+			col[i] = v[j]
+		}
+		cells = append(cells, report.F(m(col)))
+	}
+	t.AddRow(cells...)
 }
 
 // hmean returns the harmonic mean (the paper's speedup average).

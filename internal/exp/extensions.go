@@ -26,37 +26,25 @@ func ExtReplay(r *Runner) ([]*report.Table, error) {
 			"slow-known: predicted-slow accesses with deterministic timing",
 		Columns: []string{"app", "simple-replay", "slow-known", "selective-replay"},
 	}
-	type row struct{ simple, slow, selective float64 }
-	rows, err := forEachApp(r, func(app string) (row, error) {
+	return appTable(r, t, []mean{amean, amean, amean}, func(app string) ([]float64, error) {
 		st, err := r.Run(app, sim.SIPT(cpu.OOO(), 32, 2, core.ModeCombined), vm.ScenarioNormal)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
 		n := float64(st.L1.Accesses)
 		if n == 0 {
-			return row{}, nil
+			return make([]float64, 3), nil
 		}
 		// Fast accesses had correct timing speculation: simple replay
 		// suffices. Slow accesses were mispredicted: they are the ones
 		// that exercise selective replay. Bypassed accesses (none in
 		// combined mode, but present in bypass mode) have known timing.
-		return row{
-			simple:    float64(st.L1.Fast) / n,
-			slow:      float64(st.L1.Bypassed) / n,
-			selective: float64(st.L1.Slow) / n,
+		return []float64{
+			float64(st.L1.Fast) / n,     // simple-replay
+			float64(st.L1.Bypassed) / n, // slow-known
+			float64(st.L1.Slow) / n,     // selective-replay
 		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	var a, b, c []float64
-	for i, app := range r.opts.apps() {
-		rw := rows[i]
-		t.AddRow(app, report.F(rw.simple), report.F(rw.slow), report.F(rw.selective))
-		a, b, c = append(a, rw.simple), append(b, rw.slow), append(c, rw.selective)
-	}
-	t.AddRow("Average", report.F(amean(a)), report.F(amean(b)), report.F(amean(c)))
-	return []*report.Table{t}, nil
 }
 
 // ExtColoring contrasts SIPT with the Sec. II-D software alternative:
@@ -74,11 +62,10 @@ func ExtColoring(r *Runner) ([]*report.Table, error) {
 		Columns: []string{"app", "naive-fast", "naive-fast-colored", "ipc-naive",
 			"ipc-naive-colored", "ipc-combined"},
 	}
-	type row struct{ nf, nfc, in, inc, ic float64 }
-	rows, err := forEachApp(r, func(app string) (row, error) {
+	return appTable(r, t, []mean{amean, amean, hmean, hmean, hmean}, func(app string) ([]float64, error) {
 		prof, err := workload.Lookup(app)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
 		sts, err := r.RunConfigs(app, []sim.Config{
 			sim.Baseline(cpu.OOO()),
@@ -86,7 +73,7 @@ func ExtColoring(r *Runner) ([]*report.Table, error) {
 			sim.SIPT(cpu.OOO(), 32, 2, core.ModeCombined),
 		}, vm.ScenarioNormal)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
 		base, naive, comb := sts[0], sts[1], sts[2]
 		// Colored run: build the system by hand (coloring is not a
@@ -95,34 +82,20 @@ func ExtColoring(r *Runner) ([]*report.Table, error) {
 		sys.SetColored(true)
 		gen, err := workload.NewGenerator(prof, sys, r.opts.Seed, r.opts.records())
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
 		colored, err := sim.RunTrace(r.Context(), app, gen, sim.SIPT(cpu.OOO(), 32, 2, core.ModeNaive), r.opts.Seed)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
-		return row{
-			nf:  naive.L1.FastFraction(),
-			nfc: colored.L1.FastFraction(),
-			in:  naive.IPC() / base.IPC(),
-			inc: colored.IPC() / base.IPC(),
-			ic:  comb.IPC() / base.IPC(),
+		return []float64{
+			naive.L1.FastFraction(),
+			colored.L1.FastFraction(),
+			naive.IPC() / base.IPC(),
+			colored.IPC() / base.IPC(),
+			comb.IPC() / base.IPC(),
 		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	var nf, nfc, in, inc, ic []float64
-	for i, app := range r.opts.apps() {
-		rw := rows[i]
-		t.AddRow(app, report.F(rw.nf), report.F(rw.nfc), report.F(rw.in),
-			report.F(rw.inc), report.F(rw.ic))
-		nf, nfc = append(nf, rw.nf), append(nfc, rw.nfc)
-		in, inc, ic = append(in, rw.in), append(inc, rw.inc), append(ic, rw.ic)
-	}
-	t.AddRow("Average", report.F(amean(nf)), report.F(amean(nfc)),
-		report.F(hmean(in)), report.F(hmean(inc)), report.F(hmean(ic)))
-	return []*report.Table{t}, nil
 }
 
 // ExtICache is the paper's declared future work ("leaving instruction
@@ -139,33 +112,21 @@ func ExtICache(r *Runner) ([]*report.Table, error) {
 			"the paper expects the I-side to work at least as well as the D-side",
 		Columns: []string{"app", "icache-naive", "icache-combined", "dcache-combined"},
 	}
-	type row struct{ in, ic, dc float64 }
-	rows, err := forEachApp(r, func(app string) (row, error) {
+	return appTable(r, t, []mean{amean, amean, amean}, func(app string) ([]float64, error) {
 		prof, err := workload.Lookup(app)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
 		d, err := r.Run(app, sim.SIPT(cpu.OOO(), 32, 2, core.ModeCombined), vm.ScenarioNormal)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
 		naive, combined, err := icacheFastFractions(r.Context(), prof, r.opts.Seed, r.opts.records()/4)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
-		return row{in: naive, ic: combined, dc: d.L1.FastFraction()}, nil
+		return []float64{naive, combined, d.L1.FastFraction()}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	var a, b, c []float64
-	for i, app := range r.opts.apps() {
-		rw := rows[i]
-		t.AddRow(app, report.F(rw.in), report.F(rw.ic), report.F(rw.dc))
-		a, b, c = append(a, rw.in), append(b, rw.ic), append(c, rw.dc)
-	}
-	t.AddRow("Average", report.F(amean(a)), report.F(amean(b)), report.F(amean(c)))
-	return []*report.Table{t}, nil
 }
 
 // icacheFastFractions generates an instruction-fetch stream for the

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
 	"sipt/internal/core"
 	"sipt/internal/cpu"
@@ -32,67 +31,37 @@ func Fig15(r *Runner) ([]*report.Table, error) {
 	}
 	mixes := workload.Mixes()
 	geoms := sim.SIPTGeometries()
-
-	type row struct {
-		ipc    [4]float64
-		extra  float64
-		energy float64
-	}
-	rows := make([]row, len(mixes))
-	errs := make([]error, len(mixes))
-	sem := make(chan struct{}, r.opts.workers())
-	var wg sync.WaitGroup
-	for i, mix := range mixes {
-		wg.Add(1)
-		go func(i int, mix workload.Mix) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-
-			cfgs := []sim.Config{sim.Baseline(cpu.OOO())}
-			for _, g := range geoms {
-				cfgs = append(cfgs, sim.SIPT(cpu.OOO(), g[0], g[1], core.ModeCombined))
-			}
-			sts, err := r.runMix(mix, cfgs)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			base := sts[0]
-			for gi, g := range geoms {
-				ms := sts[gi+1]
-				rows[i].ipc[gi] = ms.SumIPC() / base.SumIPC()
-				if g[0] == 32 && g[1] == 2 {
-					rows[i].extra = ms.ExtraAccessRate()
-					rows[i].energy = ms.Energy.Total() / base.Energy.Total()
-				}
-			}
-		}(i, mix)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	vals, err := forEach(r, mixes, func(mix workload.Mix) ([]float64, error) {
+		cfgs := []sim.Config{sim.Baseline(cpu.OOO())}
+		for _, g := range geoms {
+			cfgs = append(cfgs, sim.SIPT(cpu.OOO(), g[0], g[1], core.ModeCombined))
+		}
+		sts, err := r.runMix(mix, cfgs)
 		if err != nil {
 			return nil, err
 		}
-	}
-
-	var ipcs [4][]float64
-	var extras, energies []float64
-	for i, mix := range mixes {
-		rw := rows[i]
-		t.AddRow(mix.Name,
-			report.F(rw.ipc[0]), report.F(rw.ipc[1]), report.F(rw.ipc[2]), report.F(rw.ipc[3]),
-			report.F(rw.extra), report.F(rw.energy))
-		for gi := range ipcs {
-			ipcs[gi] = append(ipcs[gi], rw.ipc[gi])
+		// One sum-of-IPC column per geometry, then extra and energy.
+		base := sts[0]
+		row := make([]float64, len(geoms)+2)
+		for gi, g := range geoms {
+			ms := sts[gi+1]
+			row[gi] = ms.SumIPC() / base.SumIPC()
+			if g[0] == 32 && g[1] == 2 {
+				row[len(geoms)] = ms.ExtraAccessRate()
+				row[len(geoms)+1] = ms.Energy.Total() / base.Energy.Total()
+			}
 		}
-		extras = append(extras, rw.extra)
-		energies = append(energies, rw.energy)
+		return row, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	t.AddRow("Average",
-		report.F(hmean(ipcs[0])), report.F(hmean(ipcs[1])),
-		report.F(hmean(ipcs[2])), report.F(hmean(ipcs[3])),
-		report.F(amean(extras)), report.F(amean(energies)))
+	names := make([]string, len(mixes))
+	for i, mix := range mixes {
+		names[i] = mix.Name
+	}
+	addRows(t, names, vals)
+	averageRow(t, "Average", []mean{hmean, hmean, hmean, hmean, amean, amean}, vals)
 	return []*report.Table{t}, nil
 }
 
@@ -112,14 +81,11 @@ func Fig18(r *Runner) ([]*report.Table, error) {
 			"pred-acc"},
 	}
 	geoms := sim.SIPTGeometries()
+	means := []mean{hmean, hmean, hmean, hmean, amean, amean, amean, amean, amean}
 	for _, coreCfg := range []cpu.Config{cpu.OOO(), cpu.InOrder()} {
 		for _, sc := range vm.Scenarios() {
-			type row struct {
-				ipc, energy [4]float64
-				acc         float64
-			}
-			rows, err := forEachApp(r, func(app string) (row, error) {
-				var rw row
+			// One IPC and one energy column per geometry, then pred-acc.
+			vals, err := forEach(r, r.opts.apps(), func(app string) ([]float64, error) {
 				cfgs := []sim.Config{sim.Baseline(coreCfg)}
 				for _, g := range geoms {
 					cfg := sim.SIPT(coreCfg, g[0], g[1], core.ModeCombined)
@@ -128,37 +94,24 @@ func Fig18(r *Runner) ([]*report.Table, error) {
 				}
 				sts, err := r.RunConfigs(app, cfgs, sc)
 				if err != nil {
-					return rw, err
+					return nil, err
 				}
 				base := sts[0]
+				row := make([]float64, 2*len(geoms)+1)
 				for gi, g := range geoms {
 					st := sts[gi+1]
-					rw.ipc[gi] = st.IPC() / base.IPC()
-					rw.energy[gi] = st.Energy.Total() / base.Energy.Total()
+					row[gi] = st.IPC() / base.IPC()
+					row[len(geoms)+gi] = st.Energy.Total() / base.Energy.Total()
 					if g[0] == 32 && g[1] == 2 {
-						rw.acc = st.L1.FastFraction()
+						row[2*len(geoms)] = st.L1.FastFraction()
 					}
 				}
-				return rw, nil
+				return row, nil
 			})
 			if err != nil {
 				return nil, err
 			}
-			var ipc, energy [4][]float64
-			var accs []float64
-			for _, rw := range rows {
-				for gi := range geoms {
-					ipc[gi] = append(ipc[gi], rw.ipc[gi])
-					energy[gi] = append(energy[gi], rw.energy[gi])
-				}
-				accs = append(accs, rw.acc)
-			}
-			t.AddRow(fmt.Sprintf("%s/%s", coreCfg.Name, sc),
-				report.F(hmean(ipc[0])), report.F(hmean(ipc[1])),
-				report.F(hmean(ipc[2])), report.F(hmean(ipc[3])),
-				report.F(amean(energy[0])), report.F(amean(energy[1])),
-				report.F(amean(energy[2])), report.F(amean(energy[3])),
-				report.F(amean(accs)))
+			averageRow(t, fmt.Sprintf("%s/%s", coreCfg.Name, sc), means, vals)
 		}
 	}
 	return []*report.Table{t}, nil

@@ -3,6 +3,7 @@ package exp
 import (
 	"errors"
 	"fmt"
+	"io"
 
 	"sipt/internal/replay"
 	"sipt/internal/sim"
@@ -61,6 +62,21 @@ func (r *Runner) traceReader(app string, sc vm.Scenario) (trace.Reader, error) {
 		return nil, err
 	}
 	return open()
+}
+
+// eachRecord calls fn on every record rd yields, until io.EOF.
+func eachRecord(rd trace.Reader, fn func(rec *trace.Record)) error {
+	var rec trace.Record
+	for {
+		err := rd.NextInto(&rec)
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		fn(&rec)
+	}
 }
 
 // The runner's tier ladder, shared by Run, RunConfigs and RunTrace:

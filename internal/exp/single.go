@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"errors"
 	"fmt"
-	"io"
 
 	"sipt/internal/core"
 	"sipt/internal/cpu"
@@ -27,7 +25,7 @@ func idealConfigs(c cpu.Config) []sim.Config {
 }
 
 // ipcSweep builds a normalised-IPC table over configurations.
-func ipcSweep(r *Runner, title string, coreCfg cpu.Config, configs []sim.Config) (*report.Table, error) {
+func ipcSweep(r *Runner, title string, coreCfg cpu.Config, configs []sim.Config) ([]*report.Table, error) {
 	cols := []string{"app"}
 	for _, c := range configs {
 		cols = append(cols, fmt.Sprintf("%dK-%dw", c.L1SizeKiB, c.L1Ways))
@@ -38,57 +36,30 @@ func ipcSweep(r *Runner, title string, coreCfg cpu.Config, configs []sim.Config)
 		Columns: cols,
 	}
 	base := sim.Baseline(coreCfg)
-	type row struct{ rel []float64 }
-	rows, err := forEachApp(r, func(app string) (row, error) {
+	return appTable(r, t, repeatMean(hmean, len(configs)), func(app string) ([]float64, error) {
 		sts, err := r.RunConfigs(app, append([]sim.Config{base}, configs...), vm.ScenarioNormal)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
 		b := sts[0]
 		rel := make([]float64, len(configs))
 		for i := range configs {
 			rel[i] = sts[i+1].IPC() / b.IPC()
 		}
-		return row{rel: rel}, nil
+		return rel, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	sums := make([][]float64, len(configs))
-	for i, app := range r.opts.apps() {
-		cells := []string{app}
-		for j, v := range rows[i].rel {
-			cells = append(cells, report.F(v))
-			sums[j] = append(sums[j], v)
-		}
-		t.AddRow(cells...)
-	}
-	avg := []string{"Average"}
-	for _, vs := range sums {
-		avg = append(avg, report.F(hmean(vs)))
-	}
-	t.AddRow(avg...)
-	return t, nil
 }
 
 // Fig2 regenerates Fig. 2: ideal-cache IPC sweep on the OOO core.
 func Fig2(r *Runner) ([]*report.Table, error) {
-	t, err := ipcSweep(r, "Fig. 2: IPC with various L1 configs (ideal index), OOO core",
+	return ipcSweep(r, "Fig. 2: IPC with various L1 configs (ideal index), OOO core",
 		cpu.OOO(), idealConfigs(cpu.OOO()))
-	if err != nil {
-		return nil, err
-	}
-	return []*report.Table{t}, nil
 }
 
 // Fig3 regenerates Fig. 3: the same sweep on the in-order core.
 func Fig3(r *Runner) ([]*report.Table, error) {
-	t, err := ipcSweep(r, "Fig. 3: IPC with various L1 configs (ideal index), in-order core",
+	return ipcSweep(r, "Fig. 3: IPC with various L1 configs (ideal index), in-order core",
 		cpu.InOrder(), idealConfigs(cpu.InOrder()))
-	if err != nil {
-		return nil, err
-	}
-	return []*report.Table{t}, nil
 }
 
 // Fig5 regenerates Fig. 5: the fraction of accesses whose speculative
@@ -100,22 +71,13 @@ func Fig5(r *Runner) ([]*report.Table, error) {
 		Note:    "k columns: accesses whose low k index bits beyond the page offset are unchanged; huge: accesses on 2MiB pages",
 		Columns: []string{"app", "1-bit", "2-bit", "3-bit", "hugepage(9-bit)"},
 	}
-	type row struct{ k1, k2, k3, huge float64 }
-	rows, err := forEachApp(r, func(app string) (row, error) {
-		gen, err := r.traceReader(app, vm.ScenarioNormal)
+	return appTable(r, t, []mean{amean, amean, amean, amean}, func(app string) ([]float64, error) {
+		rd, err := r.traceReader(app, vm.ScenarioNormal)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
 		var n, k1, k2, k3, huge uint64
-		var rec trace.Record
-		for {
-			err := gen.NextInto(&rec)
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return row{}, err
-			}
+		err = eachRecord(rd, func(rec *trace.Record) {
 			n++
 			u := memaddr.UnchangedBits(rec.VA, rec.PA, 9)
 			if u >= 1 {
@@ -130,118 +92,78 @@ func Fig5(r *Runner) ([]*report.Table, error) {
 			if rec.Huge() {
 				huge++
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 		f := func(x uint64) float64 { return float64(x) / float64(n) }
-		return row{f(k1), f(k2), f(k3), f(huge)}, nil
+		return []float64{f(k1), f(k2), f(k3), f(huge)}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	var s1, s2, s3, sh []float64
-	for i, app := range r.opts.apps() {
-		rw := rows[i]
-		t.AddRow(app, report.F(rw.k1), report.F(rw.k2), report.F(rw.k3), report.F(rw.huge))
-		s1, s2, s3, sh = append(s1, rw.k1), append(s2, rw.k2), append(s3, rw.k3), append(sh, rw.huge)
-	}
-	t.AddRow("Average", report.F(amean(s1)), report.F(amean(s2)), report.F(amean(s3)), report.F(amean(sh)))
-	return []*report.Table{t}, nil
 }
 
 // siptIPCFigure builds the Fig. 6 / Fig. 13 layout: normalised IPC,
 // normalised ideal IPC, and additional L1 accesses for one SIPT mode on
 // the headline 32K/2w/2c geometry.
-func siptIPCFigure(r *Runner, title string, mode core.Mode) (*report.Table, error) {
+func siptIPCFigure(r *Runner, title string, mode core.Mode) ([]*report.Table, error) {
 	t := &report.Table{
 		Title:   title,
 		Note:    "normalised to the baseline L1; extra = additional L1 array reads per demand access",
 		Columns: []string{"app", "ipc", "ideal-ipc", "extra-accesses"},
 	}
-	type row struct{ ipc, ideal, extra float64 }
-	rows, err := forEachApp(r, func(app string) (row, error) {
+	return appTable(r, t, []mean{hmean, hmean, amean}, func(app string) ([]float64, error) {
 		sts, err := r.RunConfigs(app, []sim.Config{
 			sim.Baseline(cpu.OOO()),
 			sim.SIPT(cpu.OOO(), 32, 2, mode),
 			sim.SIPT(cpu.OOO(), 32, 2, core.ModeIdeal),
 		}, vm.ScenarioNormal)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
 		b, s, id := sts[0], sts[1], sts[2]
-		return row{s.IPC() / b.IPC(), id.IPC() / b.IPC(), s.L1.ExtraAccessRate()}, nil
+		return []float64{s.IPC() / b.IPC(), id.IPC() / b.IPC(), s.L1.ExtraAccessRate()}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	var ipcs, ideals, extras []float64
-	for i, app := range r.opts.apps() {
-		rw := rows[i]
-		t.AddRow(app, report.F(rw.ipc), report.F(rw.ideal), report.F(rw.extra))
-		ipcs, ideals, extras = append(ipcs, rw.ipc), append(ideals, rw.ideal), append(extras, rw.extra)
-	}
-	t.AddRow("Average", report.F(hmean(ipcs)), report.F(hmean(ideals)), report.F(amean(extras)))
-	return t, nil
 }
 
 // siptEnergyFigure builds the Fig. 7 / Fig. 14 layout: normalised total
 // and dynamic cache-hierarchy energy for one SIPT mode on 32K/2w/2c.
-func siptEnergyFigure(r *Runner, title string, mode core.Mode) (*report.Table, error) {
+func siptEnergyFigure(r *Runner, title string, mode core.Mode) ([]*report.Table, error) {
 	t := &report.Table{
 		Title:   title,
 		Note:    "energies normalised to baseline total; dyn columns show the dynamic component over baseline total",
 		Columns: []string{"app", "energy", "ideal-energy", "dyn-sipt", "dyn-baseline"},
 	}
-	type row struct{ e, ie, ds, db float64 }
-	rows, err := forEachApp(r, func(app string) (row, error) {
+	return appTable(r, t, []mean{amean, amean, amean, amean}, func(app string) ([]float64, error) {
 		sts, err := r.RunConfigs(app, []sim.Config{
 			sim.Baseline(cpu.OOO()),
 			sim.SIPT(cpu.OOO(), 32, 2, mode),
 			sim.SIPT(cpu.OOO(), 32, 2, core.ModeIdeal),
 		}, vm.ScenarioNormal)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
 		b, s, id := sts[0], sts[1], sts[2]
 		bt := b.Energy.Total()
-		return row{
-			e:  s.Energy.Total() / bt,
-			ie: id.Energy.Total() / bt,
-			ds: s.Energy.Dynamic() / bt,
-			db: b.Energy.Dynamic() / bt,
+		return []float64{
+			s.Energy.Total() / bt,
+			id.Energy.Total() / bt,
+			s.Energy.Dynamic() / bt,
+			b.Energy.Dynamic() / bt,
 		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	var es, ies, dss, dbs []float64
-	for i, app := range r.opts.apps() {
-		rw := rows[i]
-		t.AddRow(app, report.F(rw.e), report.F(rw.ie), report.F(rw.ds), report.F(rw.db))
-		es, ies, dss, dbs = append(es, rw.e), append(ies, rw.ie), append(dss, rw.ds), append(dbs, rw.db)
-	}
-	t.AddRow("Average", report.F(amean(es)), report.F(amean(ies)), report.F(amean(dss)), report.F(amean(dbs)))
-	return t, nil
 }
 
 // Fig6 regenerates Fig. 6: naive SIPT IPC and extra accesses.
 func Fig6(r *Runner) ([]*report.Table, error) {
-	t, err := siptIPCFigure(r,
+	return siptIPCFigure(r,
 		"Fig. 6: IPC and additional L1 accesses, naive SIPT 32KiB/2-way/2-cycle, OOO",
 		core.ModeNaive)
-	if err != nil {
-		return nil, err
-	}
-	return []*report.Table{t}, nil
 }
 
 // Fig7 regenerates Fig. 7: naive SIPT energy.
 func Fig7(r *Runner) ([]*report.Table, error) {
-	t, err := siptEnergyFigure(r,
+	return siptEnergyFigure(r,
 		"Fig. 7: cache hierarchy energy, naive SIPT 32KiB/2-way/2-cycle, OOO",
 		core.ModeNaive)
-	if err != nil {
-		return nil, err
-	}
-	return []*report.Table{t}, nil
 }
 
 // bitGeometries maps each speculative bit count of Figs. 9/12 to the
@@ -260,7 +182,7 @@ func Fig9(r *Runner) ([]*report.Table, error) {
 		Columns: []string{"app", "bits", "correct-spec", "correct-bypass", "opportunity-loss", "extra-access"},
 	}
 	type row struct{ vals [3][4]float64 }
-	rows, err := forEachApp(r, func(app string) (row, error) {
+	rows, err := forEach(r, r.opts.apps(), func(app string) (row, error) {
 		var rw row
 		cfgs := make([]sim.Config, 0, len(bitGeometries()))
 		for _, g := range bitGeometries() {
@@ -307,7 +229,7 @@ func Fig12(r *Runner) ([]*report.Table, error) {
 		Columns: []string{"app", "bits", "correct-spec", "idb-hit", "slow"},
 	}
 	type row struct{ vals [3][3]float64 }
-	rows, err := forEachApp(r, func(app string) (row, error) {
+	rows, err := forEach(r, r.opts.apps(), func(app string) (row, error) {
 		var rw row
 		cfgs := make([]sim.Config, 0, len(bitGeometries()))
 		for _, g := range bitGeometries() {
@@ -345,24 +267,16 @@ func Fig12(r *Runner) ([]*report.Table, error) {
 
 // Fig13 regenerates Fig. 13: SIPT with IDB, IPC and extra accesses.
 func Fig13(r *Runner) ([]*report.Table, error) {
-	t, err := siptIPCFigure(r,
+	return siptIPCFigure(r,
 		"Fig. 13: IPC and additional L1 accesses, SIPT+IDB 32KiB/2-way/2-cycle, OOO",
 		core.ModeCombined)
-	if err != nil {
-		return nil, err
-	}
-	return []*report.Table{t}, nil
 }
 
 // Fig14 regenerates Fig. 14: SIPT with IDB, energy.
 func Fig14(r *Runner) ([]*report.Table, error) {
-	t, err := siptEnergyFigure(r,
+	return siptEnergyFigure(r,
 		"Fig. 14: cache hierarchy energy, SIPT+IDB 32KiB/2-way/2-cycle, OOO",
 		core.ModeCombined)
-	if err != nil {
-		return nil, err
-	}
-	return []*report.Table{t}, nil
 }
 
 // wayPredConfigs is the five-system sweep Figs. 16/17 share: baseline,
@@ -391,32 +305,17 @@ func Fig16(r *Runner) ([]*report.Table, error) {
 		Note:    "systems: baseline+WP, SIPT+IDB (32K/2w/2c), SIPT+IDB+WP; ideal assumes perfect way prediction",
 		Columns: []string{"app", "base+wp", "sipt", "sipt+wp", "ideal", "wp-acc-base", "wp-acc-sipt"},
 	}
-	type row struct{ bwp, s, swp, id, accB, accS float64 }
-	rows, err := forEachApp(r, func(app string) (row, error) {
+	return appTable(r, t, []mean{hmean, hmean, hmean, hmean, amean, amean}, func(app string) ([]float64, error) {
 		sts, err := r.RunConfigs(app, wayPredConfigs(), vm.ScenarioNormal)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
 		b, bwp, s, swp, id := sts[0], sts[1], sts[2], sts[3], sts[4]
-		return row{
-			bwp: bwp.IPC() / b.IPC(), s: s.IPC() / b.IPC(), swp: swp.IPC() / b.IPC(),
-			id: id.IPC() / b.IPC(), accB: bwp.L1.WayAccuracy(), accS: swp.L1.WayAccuracy(),
+		return []float64{
+			bwp.IPC() / b.IPC(), s.IPC() / b.IPC(), swp.IPC() / b.IPC(),
+			id.IPC() / b.IPC(), bwp.L1.WayAccuracy(), swp.L1.WayAccuracy(),
 		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	var a, bb, c, d, e, f []float64
-	for i, app := range r.opts.apps() {
-		rw := rows[i]
-		t.AddRow(app, report.F(rw.bwp), report.F(rw.s), report.F(rw.swp), report.F(rw.id),
-			report.F(rw.accB), report.F(rw.accS))
-		a, bb, c = append(a, rw.bwp), append(bb, rw.s), append(c, rw.swp)
-		d, e, f = append(d, rw.id), append(e, rw.accB), append(f, rw.accS)
-	}
-	t.AddRow("Average", report.F(hmean(a)), report.F(hmean(bb)), report.F(hmean(c)),
-		report.F(hmean(d)), report.F(amean(e)), report.F(amean(f)))
-	return []*report.Table{t}, nil
 }
 
 // Fig17 regenerates Fig. 17: way prediction energy.
@@ -426,26 +325,14 @@ func Fig17(r *Runner) ([]*report.Table, error) {
 		Note:    "systems: baseline+WP, SIPT+IDB (32K/2w/2c), SIPT+IDB+WP, ideal (perfect WP)",
 		Columns: []string{"app", "base+wp", "sipt", "sipt+wp", "ideal"},
 	}
-	type row struct{ bwp, s, swp, id float64 }
-	rows, err := forEachApp(r, func(app string) (row, error) {
+	return appTable(r, t, []mean{amean, amean, amean, amean}, func(app string) ([]float64, error) {
 		sts, err := r.RunConfigs(app, wayPredConfigs(), vm.ScenarioNormal)
 		if err != nil {
-			return row{}, err
+			return nil, err
 		}
 		b, bwp, s, swp, id := sts[0], sts[1], sts[2], sts[3], sts[4]
 		bt := b.Energy.Total()
-		return row{bwp.Energy.Total() / bt, s.Energy.Total() / bt,
+		return []float64{bwp.Energy.Total() / bt, s.Energy.Total() / bt,
 			swp.Energy.Total() / bt, id.Energy.Total() / bt}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	var a, bb, c, d []float64
-	for i, app := range r.opts.apps() {
-		rw := rows[i]
-		t.AddRow(app, report.F(rw.bwp), report.F(rw.s), report.F(rw.swp), report.F(rw.id))
-		a, bb, c, d = append(a, rw.bwp), append(bb, rw.s), append(c, rw.swp), append(d, rw.id)
-	}
-	t.AddRow("Average", report.F(amean(a)), report.F(amean(bb)), report.F(amean(c)), report.F(amean(d)))
-	return []*report.Table{t}, nil
 }
