@@ -22,9 +22,9 @@ var MetricReg = &Analyzer{
 	Name: "metricreg",
 	Doc: `metric names are literal, lowercase, and registered exactly once
 
-Every call to Registry.Counter/Gauge/Histogram in sipt/internal/ must
-pass a compile-time-constant string name matching ^[a-z][a-z0-9_]*$,
-and no two call sites may register the same name. Constant names keep
+Every call to Registry.Counter/Gauge/GaugeFunc/Histogram in
+sipt/internal/ must pass a compile-time-constant string name matching
+^[a-z][a-z0-9_]*$, and no two call sites may register the same name. Constant names keep
 the exposition format identical across runs and fleet topologies;
 single registration keeps the runtime panic in
 metrics.(*Registry).register unreachable.`,
@@ -35,7 +35,7 @@ var metricNameRx = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
 // metricRegistrars are the Registry methods that mint a new metric.
 var metricRegistrars = map[string]bool{
-	"Counter": true, "Gauge": true, "Histogram": true,
+	"Counter": true, "Gauge": true, "GaugeFunc": true, "Histogram": true,
 }
 
 func runMetricReg(pass *Pass) error {
@@ -119,10 +119,11 @@ func buildMetricRegFindings(prog *Program) []progFinding {
 	return findings
 }
 
-// isMetricRegistration matches r.Counter/Gauge/Histogram where r is a
-// *Registry. The receiver is matched by type name so analyzer fixtures
-// (which cannot import module-internal packages) can declare their own
-// Registry; in the real tree the only such type is metrics.Registry.
+// isMetricRegistration matches r.Counter/Gauge/GaugeFunc/Histogram
+// where r is a *Registry. The receiver is matched by type name so
+// analyzer fixtures (which cannot import module-internal packages) can
+// declare their own Registry; in the real tree the only such type is
+// metrics.Registry.
 func isMetricRegistration(pkg *Package, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !metricRegistrars[sel.Sel.Name] {

@@ -9,8 +9,9 @@ import "fmt"
 
 type Registry struct{}
 
-func (r *Registry) Counter(name, help string) int { return 0 }
-func (r *Registry) Gauge(name, help string) int   { return 0 }
+func (r *Registry) Counter(name, help string) int                  { return 0 }
+func (r *Registry) Gauge(name, help string) int                    { return 0 }
+func (r *Registry) GaugeFunc(name, help string, read func() int64) {}
 func (r *Registry) Histogram(name, help string, bounds ...int64) int {
 	return 0
 }
@@ -22,6 +23,7 @@ func registerGood(reg *Registry) {
 	reg.Gauge("queue_depth", "depth")
 	reg.Gauge(prefix+"_depth", "constant expressions are fine")
 	reg.Histogram("job_latency_ms", "latency", 1, 10, 100)
+	reg.GaugeFunc("pool_bytes", "read at scrape time", func() int64 { return 0 })
 }
 
 // registerDynamic reconstructs the historical bug class: a per-worker
@@ -31,10 +33,12 @@ func registerDynamic(reg *Registry, worker int) {
 }
 
 func registerBadName(reg *Registry) {
-	reg.Counter("Jobs-Total", "exposition format wants lower_snake") // want "must match"
+	reg.Counter("Jobs-Total", "exposition format wants lower_snake")   // want "must match"
+	reg.GaugeFunc("Pool-Bytes", "gauges read at scrape time too", nil) // want "must match"
 }
 
 func registerDup(reg *Registry) {
 	reg.Counter("dup_total", "first registration")
-	reg.Counter("dup_total", "second registration") // want "already registered"
+	reg.Counter("dup_total", "second registration")                            // want "already registered"
+	reg.GaugeFunc("dup_total", "a third, as a gauge read at scrape time", nil) // want "already registered"
 }

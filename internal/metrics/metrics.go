@@ -91,12 +91,14 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// metric is one registered name: exactly one of the pointers is set.
+// metric is one registered name: exactly one of c, g and h is set. A
+// gauge is rendered by calling g, so a Gauge and a GaugeFunc look the
+// same on /metrics.
 type metric struct {
 	name string
 	help string
 	c    *Counter
-	g    *Gauge
+	g    func() int64
 	h    *Histogram
 }
 
@@ -143,8 +145,16 @@ func (r *Registry) Counter(name, help string) *Counter {
 // Gauge registers and returns a new gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	g := &Gauge{}
-	r.register(&metric{name: name, help: help, g: g})
+	r.register(&metric{name: name, help: help, g: g.Load})
 	return g
+}
+
+// GaugeFunc registers a gauge whose value is read by calling read at
+// each render, outside the registry lock. It exposes a number another
+// component already keeps, without a copy that could go stale. read
+// must be safe for concurrent use.
+func (r *Registry) GaugeFunc(name, help string, read func() int64) {
+	r.register(&metric{name: name, help: help, g: read})
 }
 
 // Histogram registers and returns a new histogram over bounds.
@@ -171,7 +181,7 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		case m.c != nil:
 			fmt.Fprintf(&b, "# TYPE %s counter\n%s %d\n", m.name, m.name, m.c.Load())
 		case m.g != nil:
-			fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", m.name, m.name, m.g.Load())
+			fmt.Fprintf(&b, "# TYPE %s gauge\n%s %d\n", m.name, m.name, m.g())
 		case m.h != nil:
 			fmt.Fprintf(&b, "# TYPE %s histogram\n", m.name)
 			var cum uint64

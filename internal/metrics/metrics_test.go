@@ -107,6 +107,39 @@ func TestRenderFormat(t *testing.T) {
 	}
 }
 
+// TestGaugeFunc: a GaugeFunc renders like a Gauge holding the same
+// value, reads its source afresh at every render, and is called outside
+// the registry lock (its read takes that lock, which would deadlock
+// otherwise).
+func TestGaugeFunc(t *testing.T) {
+	held, fn := NewRegistry(), NewRegistry()
+	held.Gauge("pool_bytes", "bytes resident").Set(3)
+	src := int64(3)
+	fn.GaugeFunc("pool_bytes", "bytes resident", func() int64 {
+		fn.mu.Lock()
+		defer fn.mu.Unlock()
+		return src
+	})
+	var a, b strings.Builder
+	if _, err := held.WriteTo(&a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fn.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Errorf("GaugeFunc renders %q, Gauge %q", b.String(), a.String())
+	}
+	src = 9
+	b.Reset()
+	if _, err := fn.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "pool_bytes 9\n") {
+		t.Errorf("second render did not re-read the source:\n%s", b.String())
+	}
+}
+
 func TestDuplicateRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("dup", "")
