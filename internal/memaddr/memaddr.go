@@ -8,8 +8,6 @@
 // (21 offset bits).
 package memaddr
 
-import "fmt"
-
 // VAddr is a virtual address.
 type VAddr uint64
 
@@ -153,15 +151,6 @@ func Log2(x uint64) uint {
 
 // IsPow2 reports whether x is a power of two (and nonzero).
 func IsPow2(x uint64) bool { return x != 0 && x&(x-1) == 0 }
-
-// CheckPow2 panics with a descriptive message unless x is a power of
-// two. Structural cache parameters (sets, ways, line size) use it to
-// fail fast on malformed configurations.
-func CheckPow2(name string, x uint64) {
-	if !IsPow2(x) {
-		panic(fmt.Sprintf("memaddr: %s = %d is not a power of two", name, x))
-	}
-}
 
 // AlignDown rounds addr down to a multiple of align (a power of two).
 func AlignDown(addr, align uint64) uint64 { return addr &^ (align - 1) }

@@ -143,15 +143,6 @@ func TestIsPow2(t *testing.T) {
 	}
 }
 
-func TestCheckPow2Panics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("CheckPow2 did not panic on non-power-of-two")
-		}
-	}()
-	CheckPow2("ways", 3)
-}
-
 func TestAlign(t *testing.T) {
 	if got := AlignDown(0x1fff, PageBytes); got != 0x1000 {
 		t.Errorf("AlignDown = %#x, want 0x1000", got)

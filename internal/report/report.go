@@ -36,9 +36,6 @@ func (t *Table) AddRow(cells ...string) {
 // the experiment output.
 func F(v float64) string { return fmt.Sprintf("%.3f", v) }
 
-// Pct formats a fraction as a percentage with one decimal.
-func Pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
-
 // Render writes the table as aligned text.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Columns))

@@ -86,9 +86,6 @@ func TestFormatters(t *testing.T) {
 	if F(1.23456) != "1.235" {
 		t.Errorf("F = %q", F(1.23456))
 	}
-	if Pct(0.081) != "8.1%" {
-		t.Errorf("Pct = %q", Pct(0.081))
-	}
 }
 
 func TestRenderMarkdown(t *testing.T) {

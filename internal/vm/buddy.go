@@ -33,12 +33,11 @@ const HugeOrder = memaddr.HugeExtraBits
 // coalescing. The free map is dense, one byte per frame, so every
 // alloc, free and coalesce step is an array index rather than a hash.
 type Buddy struct {
-	frames   uint64 // total frames managed
-	free     uint64 // total free frames
-	stacks   [MaxOrder + 1][]uint64
-	freeAt   []int8               // per frame: order+1 if a free block starts there, else 0
-	counts   [MaxOrder + 1]uint64 // free blocks per order, kept in sync with freeAt
-	allocCnt uint64
+	frames uint64 // total frames managed
+	free   uint64 // total free frames
+	stacks [MaxOrder + 1][]uint64
+	freeAt []int8               // per frame: order+1 if a free block starts there, else 0
+	counts [MaxOrder + 1]uint64 // free blocks per order, kept in sync with freeAt
 }
 
 // NewBuddy creates an allocator managing the given number of 4 KiB
@@ -69,9 +68,6 @@ func (b *Buddy) Frames() uint64 { return b.frames }
 
 // FreeFrames returns the number of currently free frames.
 func (b *Buddy) FreeFrames() uint64 { return b.free }
-
-// Allocs returns the number of successful allocations performed.
-func (b *Buddy) Allocs() uint64 { return b.allocCnt }
 
 func (b *Buddy) pushFree(start uint64, order int) {
 	b.freeAt[start] = int8(order + 1)
@@ -133,7 +129,6 @@ func (b *Buddy) AllocOrder(order int) (memaddr.PFN, bool) {
 			b.pushFree(start+1<<o, o)
 		}
 		b.free -= 1 << order
-		b.allocCnt++
 		return memaddr.PFN(start), true
 	}
 	return 0, false
