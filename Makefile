@@ -82,7 +82,8 @@ crash-smoke:
 
 # Chaos: the fault-injection acceptance suite (internal/fault) under the
 # race detector — seeded panics, evictions, and transient failures
-# against the full serving stack. Short mode keeps it CI-sized.
+# against the full serving stack. Short mode keeps it CI-sized. This is
+# the suite's one test list: scripts/verify.sh runs this target.
 chaos:
 	$(GO) test -race -short -run 'TestChaos|TestDecideMatchesFire' ./internal/fault/
 	$(GO) test -race -short -run 'TestPanicIsolation|TestInjectedWorkerPanic' ./internal/sched/

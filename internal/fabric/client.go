@@ -22,15 +22,9 @@ import (
 // re-route machinery without a real network fault.
 var shardErr = fault.NewPoint("fabric.shard.err")
 
-// Client-side retry policy: same bounded backoff ladder as the serve
-// layer's in-place job retries (DESIGN.md §10) — a shard is retried on
-// the same worker before the coordinator considers re-routing it.
-const (
-	clientRetries  = 3
-	retryBaseDelay = 10 * time.Millisecond
-	retryMaxDelay  = 250 * time.Millisecond
-	defaultPoll    = 5 * time.Millisecond
-)
+// defaultPoll is the shard status poll interval when NewClient is given
+// none.
+const defaultPoll = 5 * time.Millisecond
 
 // sleep is the fabric's only delay primitive (backoff and shard
 // polling). A swappable hook like serve's: tests replace it to record
@@ -70,34 +64,29 @@ func (c *Client) Base() string { return c.base }
 
 // RunShard executes req on the worker and returns its stats, retrying
 // transient failures (connection errors, 429 backpressure, 5xx, a
-// failed worker job) in place with bounded backoff while ctx is live.
+// failed worker job) in place on fault.Retry's ladder while ctx is live.
 // The error it eventually returns keeps its fault.Transient marking,
 // so the coordinator can tell reroutable failures from permanent
 // protocol errors.
 func (c *Client) RunShard(ctx context.Context, req ShardRequest) ([]sim.Stats, error) {
-	stats, err := c.attempt(ctx, req)
-	for n := 0; err != nil && fault.IsTransient(err) && ctx.Err() == nil && n < clientRetries; n++ {
-		d := retryBaseDelay << n
-		if d > retryMaxDelay {
-			d = retryMaxDelay
-		}
+	var stats []sim.Stats
+	err := fault.Retry(ctx, func() (err error) {
+		stats, err = c.attempt(ctx, req)
+		return err
+	}, func(d, limit time.Duration, err error) {
 		// A 429 carrying Retry-After is the worker pricing its own
 		// backpressure: honour it over the blind ladder, but never wait
 		// longer than the ladder's cap — the coordinator would rather
 		// re-route than idle behind one slow worker.
 		var hint *retryAfterHint
 		if errors.As(err, &hint) {
-			d = hint.delay
-			if d > retryMaxDelay {
-				d = retryMaxDelay
-			}
+			d = min(hint.delay, limit)
 		}
 		sleep(d)
 		if c.OnRetry != nil {
 			c.OnRetry()
 		}
-		stats, err = c.attempt(ctx, req)
-	}
+	})
 	return stats, err
 }
 

@@ -20,6 +20,13 @@ import (
 	"sipt/internal/vm"
 )
 
+// The ladder fault.Retry runs for RunShard: three in-place retries,
+// each delay capped at 250 ms.
+const (
+	clientRetries = 3
+	retryMaxDelay = 250 * time.Millisecond
+)
+
 // captureSleep replaces the fabric's sleep hook for the test, recording
 // every backoff/poll delay instead of waiting.
 func captureSleep(t *testing.T) *[]time.Duration {
@@ -353,7 +360,7 @@ func TestCoordinatorAffinity(t *testing.T) {
 	captureSleep(t)
 	w0, w1, w2 := newFakeWorker(t, "w0"), newFakeWorker(t, "w1"), newFakeWorker(t, "w2")
 	c := coordinatorOver(nil, 0, w0, w1, w2)
-	ring := NewRing([]string{w0.base(), w1.base(), w2.base()}, 0)
+	ring := NewRing([]string{w0.base(), w1.base(), w2.base()})
 	byBase := map[string]*fakeWorker{w0.base(): w0, w1.base(): w1, w2.base(): w2}
 
 	apps := []string{"mcf", "gcc", "lbm", "astar", "milc", "soplex", "bzip2", "namd"}
@@ -402,7 +409,7 @@ func TestCoordinatorEjectAndReroute(t *testing.T) {
 
 	// Drive shards for keys owned by the failing worker until it is
 	// ejected; every one must still succeed via the survivor.
-	ring := NewRing([]string{good.base(), bad.base()}, 0)
+	ring := NewRing([]string{good.base(), bad.base()})
 	dispatched := 0
 	for _, k := range gridKeys() {
 		if ring.Lookup(k) != bad.base() {
@@ -488,11 +495,11 @@ func TestCoordinatorHalfOpenProbe(t *testing.T) {
 		}
 		return http.StatusInternalServerError
 	}
-	c := coordinatorOver(reg, 1, good, flaky) // default ProbeAfter: 30s
+	c := coordinatorOver(reg, 1, good, flaky) // probeAfter: 30s
 
 	// A key owned by the flaky worker, so every phase below starts its
 	// routing there whenever the worker is in the ring.
-	ring := NewRing([]string{good.base(), flaky.base()}, 0)
+	ring := NewRing([]string{good.base(), flaky.base()})
 	var key TraceKey
 	for _, k := range gridKeys() {
 		if ring.Lookup(k) == flaky.base() {

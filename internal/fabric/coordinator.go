@@ -25,21 +25,11 @@ type Config struct {
 	Workers []string
 	// Registry receives fabric metrics (nil = a fresh registry).
 	Registry *metrics.Registry
-	// Replicas is the ring's virtual-node count per worker (0 =
-	// default).
-	Replicas int
 	// EjectAfter is the consecutive-failure count at which a worker is
 	// ejected from the ring (0 = 3). The client's in-place retries
 	// count as one dispatch: a worker is only charged when a whole
 	// dispatch, retries included, fails.
 	EjectAfter int
-	// ProbeAfter is the cooldown after which an ejected worker earns a
-	// half-open probe: it rejoins the ring with one failure of credit,
-	// so the next dispatch routed to it is the probe — success restores
-	// a clean slate (and its trace affinity, since its ring points come
-	// back), a single failure re-ejects it for another cooldown.
-	// 0 = 30s; negative disables probing, making ejection permanent.
-	ProbeAfter time.Duration
 	// ShardTimeout bounds one shard dispatch, submit through collect
 	// (0 = 5m). A dispatch that exceeds it is treated like a transient
 	// failure: charged to the worker and re-routed.
@@ -60,7 +50,6 @@ type Config struct {
 // merging local. Safe for concurrent use.
 type Coordinator struct {
 	ejectAfter   int
-	probeAfter   time.Duration
 	shardTimeout time.Duration
 	names        []string // all configured workers, sorted; never shrinks
 
@@ -88,6 +77,13 @@ type workerState struct {
 	ejectedAt time.Time // when the last ejection happened
 }
 
+// probeAfter is the cooldown after which an ejected worker earns a
+// half-open probe: it rejoins the ring with one failure of credit, so
+// the next dispatch routed to it is the probe — success restores a
+// clean slate (and its trace affinity, since its ring points come
+// back), a single failure re-ejects it for another cooldown.
+const probeAfter = 30 * time.Second
+
 // now is the coordinator's health clock: it times the ejection
 // cooldown, never simulation state, and tests swap it to step the
 // half-open window without sleeping.
@@ -108,19 +104,14 @@ func NewCoordinator(cfg Config) *Coordinator {
 	if ejectAfter <= 0 {
 		ejectAfter = 3
 	}
-	probeAfter := cfg.ProbeAfter
-	if probeAfter == 0 {
-		probeAfter = 30 * time.Second
-	}
 	shardTimeout := cfg.ShardTimeout
 	if shardTimeout <= 0 {
 		shardTimeout = 5 * time.Minute
 	}
 	c := &Coordinator{
 		ejectAfter:   ejectAfter,
-		probeAfter:   probeAfter,
 		shardTimeout: shardTimeout,
-		ring:         NewRing(cfg.Workers, cfg.Replicas),
+		ring:         NewRing(cfg.Workers),
 		byName:       make(map[string]*workerState, len(cfg.Workers)),
 
 		shardsTotal:    reg.Counter("fabric_shards_total", "shards dispatched to workers"),
@@ -250,13 +241,10 @@ func (c *Coordinator) pick(key TraceKey, avoid map[string]bool) (*workerState, e
 // original ring points, so its old keys route back to it — affinity
 // survives the outage. Called under c.mu.
 func (c *Coordinator) maybeRevive() {
-	if c.probeAfter < 0 {
-		return
-	}
 	t := now()
 	for _, name := range c.names {
 		w := c.byName[name]
-		if !w.ejected || t.Sub(w.ejectedAt) < c.probeAfter {
+		if !w.ejected || t.Sub(w.ejectedAt) < probeAfter {
 			continue
 		}
 		w.ejected = false

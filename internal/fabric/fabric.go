@@ -17,8 +17,8 @@
 // in fabric_test.go enforces.
 //
 // Failure model: transient shard failures (connection errors, 429
-// backpressure, 5xx, a failed worker job) retry in place with the same
-// bounded backoff ladder internal/serve uses; a worker that keeps
+// backpressure, 5xx, a failed worker job) retry in place on
+// fault.Retry, the bounded backoff ladder internal/serve uses too; a worker that keeps
 // failing is ejected from the ring (Coordinator.noteFail) and its
 // shards re-route to the survivors, whose assignments do not move —
 // consistent hashing keeps the reshuffle minimal. A sweep fails only

@@ -5,26 +5,25 @@ import (
 	"sort"
 )
 
-// defaultReplicas is the virtual-node count per worker. 64 points per
+// replicas is the virtual-node count per worker. 64 points per
 // worker keeps the largest/smallest arc ratio low enough that a
 // handful of workers split a 33-workload grid roughly evenly, while a
 // full ring rebuild (tens of workers × 64 points) stays microseconds.
-const defaultReplicas = 64
+const replicas = 64
 
 // Ring is a consistent-hash ring over worker names. Each worker owns
 // replicas virtual points; a key routes to the worker owning the first
 // point at or clockwise of the key's hash. Removing a worker deletes
 // only that worker's points, so every key either keeps its assignment
 // or moves to a surviving worker — never between survivors. The ring
-// is deterministic: the same workers and replicas always produce the
-// same point set regardless of insertion order.
+// is deterministic: the same workers always produce the same point set
+// regardless of insertion order.
 //
 // Ring is not safe for concurrent mutation; the Coordinator guards it
 // with its own mutex.
 type Ring struct {
-	replicas int
-	points   []point  // sorted by (hash, worker)
-	workers  []string // sorted member names
+	points  []point  // sorted by (hash, worker)
+	workers []string // sorted member names
 }
 
 type point struct {
@@ -32,14 +31,10 @@ type point struct {
 	worker string
 }
 
-// NewRing builds a ring over workers with the given virtual-node
-// count; replicas <= 0 selects the default. Duplicate names collapse
-// to one membership.
-func NewRing(workers []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
-	r := &Ring{replicas: replicas}
+// NewRing builds a ring over workers. Duplicate names collapse to one
+// membership.
+func NewRing(workers []string) *Ring {
+	r := &Ring{}
 	for _, w := range workers {
 		r.Add(w)
 	}
@@ -55,7 +50,7 @@ func (r *Ring) Add(worker string) {
 	r.workers = append(r.workers, "")
 	copy(r.workers[i+1:], r.workers[i:])
 	r.workers[i] = worker
-	for v := 0; v < r.replicas; v++ {
+	for v := 0; v < replicas; v++ {
 		r.points = append(r.points, point{hash: hash64(fmt.Sprintf("%s#%d", worker, v)), worker: worker})
 	}
 	sort.Slice(r.points, func(a, b int) bool {

@@ -42,8 +42,8 @@ func TestRingDeterministicAssignment(t *testing.T) {
 	ws := workers(5)
 	keys := gridKeys()
 
-	a := NewRing(ws, 0)
-	b := NewRing([]string{ws[3], ws[0], ws[4], ws[2], ws[1]}, 0) // shuffled insertion
+	a := NewRing(ws)
+	b := NewRing([]string{ws[3], ws[0], ws[4], ws[2], ws[1]}) // shuffled insertion
 	for _, k := range keys {
 		if got, want := b.Lookup(k), a.Lookup(k); got != want {
 			t.Fatalf("key %s: insertion order changed owner %s -> %s", k, want, got)
@@ -66,7 +66,7 @@ func TestRingDeterministicAssignment(t *testing.T) {
 func TestRingMinimalReshuffleOnRemoval(t *testing.T) {
 	ws := workers(5)
 	keys := gridKeys()
-	r := NewRing(ws, 0)
+	r := NewRing(ws)
 
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
@@ -103,7 +103,7 @@ func TestRingSequence(t *testing.T) {
 	ws := workers(4)
 	keys := gridKeys()[:24]
 	for _, k := range keys {
-		r := NewRing(ws, 0)
+		r := NewRing(ws)
 		seq := r.Sequence(k)
 		if len(seq) != len(ws) {
 			t.Fatalf("key %s: sequence %v misses members", k, seq)
@@ -136,7 +136,7 @@ func TestRingSequence(t *testing.T) {
 // flake; it guards against a hash or replica regression quietly
 // starving a worker.
 func TestRingBalance(t *testing.T) {
-	r := NewRing(workers(4), 0)
+	r := NewRing(workers(4))
 	keys := gridKeys()
 	counts := map[string]int{}
 	for _, k := range keys {
@@ -152,7 +152,7 @@ func TestRingBalance(t *testing.T) {
 // TestRingEmptyAndDuplicates: edge behaviour — empty ring answers "",
 // duplicate Add collapses, Remove of a stranger is a no-op.
 func TestRingEmptyAndDuplicates(t *testing.T) {
-	r := NewRing(nil, 0)
+	r := NewRing(nil)
 	if got := r.Lookup(TraceKey{App: "mcf"}); got != "" {
 		t.Errorf("empty ring Lookup = %q, want empty", got)
 	}
@@ -177,7 +177,7 @@ func TestRingEmptyAndDuplicates(t *testing.T) {
 // TestPartitionGroupsByOwner: Partition's assignments agree with
 // Lookup, preserve key input order, and list workers in sorted order.
 func TestPartitionGroupsByOwner(t *testing.T) {
-	r := NewRing(workers(3), 0)
+	r := NewRing(workers(3))
 	keys := gridKeys()
 	parts := Partition(r, keys)
 	total := 0

@@ -21,18 +21,21 @@
 // detrand contract intact.
 //
 // The package also defines the error taxonomy the serving stack retries
-// on: Transient wraps an error to mark it retryable (see
-// internal/serve's bounded-backoff retry loop), and IsTransient
-// classifies.
+// on: Transient wraps an error to mark it retryable, IsTransient
+// classifies, and Retry is the one bounded-backoff ladder that
+// internal/serve's job retries and the fabric client's shard retries
+// both run.
 package fault
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // EnvSpec is the environment variable cmd/siptd consults for a fault
@@ -291,6 +294,31 @@ func Transient(err error) error {
 func IsTransient(err error) bool {
 	var t *transientError
 	return errors.As(err, &t)
+}
+
+// The retry ladder (DESIGN.md §10): at most retryLimit reruns, rerun n
+// after retryBase doubled n times, capped at retryCap.
+const (
+	retryLimit = 3
+	retryBase  = 10 * time.Millisecond
+	retryCap   = 250 * time.Millisecond
+)
+
+// Retry runs op and reruns it in place while it fails with a Transient
+// error and ctx is live, at most three times, and returns op's last
+// error. Before rerun n (from 0) it calls pause with the ladder's
+// delay, 10 ms doubled n times and capped at 250 ms, that cap, and the
+// error being retried. pause does the waiting through its caller's own
+// sleep hook, so tests record the schedule instead of sleeping; it may
+// wait another delay up to the cap, such as a server's Retry-After.
+// Errors that are not Transient fail on the first attempt.
+func Retry(ctx context.Context, op func() error, pause func(delay, limit time.Duration, err error)) error {
+	err := op()
+	for n := 0; err != nil && IsTransient(err) && ctx.Err() == nil && n < retryLimit; n++ {
+		pause(min(retryBase<<n, retryCap), retryCap, err)
+		err = op()
+	}
+	return err
 }
 
 // permanentError marks an error as explicitly classified and not

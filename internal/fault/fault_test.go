@@ -1,11 +1,13 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // testPoint registers a uniquely named point (the registry is
@@ -258,5 +260,57 @@ func TestPermanentClassification(t *testing.T) {
 	}
 	if IsPermanent(Transient(base)) {
 		t.Error("Transient(err) classified permanent")
+	}
+}
+
+// TestRetryLadder pins the one retry ladder: three reruns after 10, 20
+// and 40 ms, each capped at 250 ms, only for Transient errors, and none
+// once the context is done.
+func TestRetryLadder(t *testing.T) {
+	flaky := Transient(errors.New("flaky"))
+	cases := []struct {
+		name   string
+		fails  int   // attempts that fail before one succeeds
+		err    error // the failure
+		cancel bool  // ctx is done before the first attempt
+		want   []time.Duration
+	}{
+		{"succeeds", 0, flaky, false, nil},
+		{"recovers", 2, flaky, false, []time.Duration{10 * time.Millisecond, 20 * time.Millisecond}},
+		{"exhausted", 9, flaky, false, []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}},
+		{"permanent", 9, errors.New("hard"), false, nil},
+		{"canceled", 9, flaky, true, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancel {
+				cancel()
+			}
+			attempts := 0
+			var got []time.Duration
+			err := Retry(ctx, func() error {
+				attempts++
+				if attempts <= tc.fails {
+					return tc.err
+				}
+				return nil
+			}, func(d, limit time.Duration, err error) {
+				if limit != 250*time.Millisecond || err != tc.err {
+					t.Errorf("pause(%v, %v, %v), want the 250ms cap and the failure", d, limit, err)
+				}
+				got = append(got, d)
+			})
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("pauses = %v, want %v", got, tc.want)
+			}
+			if attempts != 1+len(tc.want) {
+				t.Errorf("attempts = %d, want %d", attempts, 1+len(tc.want))
+			}
+			if wantErr := attempts <= tc.fails; (err != nil) != wantErr {
+				t.Errorf("err = %v, want failure %v", err, wantErr)
+			}
+		})
 	}
 }

@@ -22,15 +22,12 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"time"
 
-	"sipt/internal/fabric"
 	"sipt/internal/journal"
 	"sipt/internal/report"
-	"sipt/internal/sched"
 	"sipt/internal/sim"
 	"sipt/internal/store"
 )
@@ -211,73 +208,40 @@ func (s *Server) adoptTerminal(js journal.JobState, st Status, res jobResult, er
 // that can no longer be rebuilt or resubmitted settles failed with the
 // reason — never silently dropped.
 func (s *Server) resume(js journal.JobState) {
-	run, pri, timeout, err := s.rebuildRun(js)
+	k, run, timeout, err := s.rebuildRun(js)
 	if err != nil {
 		s.adoptTerminal(js, StatusFailed, jobResult{}, fmt.Sprintf("recovery: %v", err))
 		s.journalFinish(&Job{id: js.ID, kind: js.Kind, status: StatusFailed, errMsg: fmt.Sprintf("recovery: %v", err)}, jobResult{})
 		return
 	}
-	base := s.baseCtx
-	var cancel context.CancelFunc
-	if timeout > 0 {
-		base, cancel = context.WithTimeout(base, timeout)
-	} else {
-		base, cancel = context.WithCancel(base)
-	}
-	j := &Job{
-		id:          js.ID,
-		kind:        js.Kind,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		status:      StatusQueued,
-		submittedNS: nowNS(),
-	}
 	// No admitted record is appended: the journal already has this job,
 	// and a duplicate admission would reset its checkpointed lanes.
-	if err := s.pool.SubmitObserved(base, pri, func(ctx context.Context) { s.runJob(j, ctx, run) }, s.panicObserver(j)); err != nil {
-		cancel()
+	j, err := s.schedule(js.ID, js.Kind, k.pri, timeout, run)
+	if err != nil {
 		s.adoptTerminal(js, StatusFailed, jobResult{}, fmt.Sprintf("recovery resubmit: %v", err))
 		return
 	}
 	s.jobs.add(j)
-	if js.Kind == "sweep" || js.Kind == "shard" {
+	if k.resumed {
 		s.sweepsResumed.Inc()
 	}
 }
 
-// rebuildRun reconstructs a job's closure, priority, and deadline from
-// its journaled kind and request body — the inverse of the handlers'
-// build* calls, reusing the same validators.
-func (s *Server) rebuildRun(js journal.JobState) (runFunc, sched.Priority, time.Duration, error) {
-	switch js.Kind {
-	case "run":
-		var req RunRequest
-		if err := json.Unmarshal(js.Request, &req); err != nil {
-			return nil, 0, 0, fmt.Errorf("bad journaled request: %v", err)
-		}
-		var run runFunc
-		var err error
-		if req.Trace != "" {
-			run, err = s.buildTraceRun(req)
-		} else {
-			run, err = s.buildRun(req)
-		}
-		return run, sched.Interactive, time.Duration(req.Timeout) * time.Millisecond, err
-	case "sweep":
-		var req SweepRequest
-		if err := json.Unmarshal(js.Request, &req); err != nil {
-			return nil, 0, 0, fmt.Errorf("bad journaled request: %v", err)
-		}
-		run, err := s.buildSweep(req)
-		return run, sched.Bulk, time.Duration(req.Timeout) * time.Millisecond, err
-	case "shard":
-		var req fabric.ShardRequest
-		if err := json.Unmarshal(js.Request, &req); err != nil {
-			return nil, 0, 0, fmt.Errorf("bad journaled request: %v", err)
-		}
-		run, err := s.buildShard(req)
-		return run, sched.Bulk, time.Duration(req.Timeout) * time.Millisecond, err
-	default:
-		return nil, 0, 0, fmt.Errorf("unknown job kind %q", js.Kind)
+// rebuildRun looks up a journaled job's kind and rebuilds its closure
+// and deadline from the admitted request body through the kind's own
+// builder, the one its HTTP admission ran. The body decodes leniently
+// (unknown fields are ignored): the HTTP path decoded it strictly at
+// admission.
+func (s *Server) rebuildRun(js journal.JobState) (*jobKind, runFunc, time.Duration, error) {
+	k := kindNamed(js.Kind)
+	if k == nil {
+		return nil, nil, 0, fmt.Errorf("unknown job kind %q", js.Kind)
 	}
+	_, run, timeout, err := k.build(s, func(v any) error {
+		if err := json.Unmarshal(js.Request, v); err != nil {
+			return fmt.Errorf("bad journaled request: %v", err)
+		}
+		return nil
+	})
+	return k, run, timeout, err
 }

@@ -45,7 +45,7 @@ type jobResult struct {
 type Job struct {
 	// Immutable after creation.
 	id     string
-	kind   string // "run", "sweep", or "shard"
+	kind   string // a kinds row's name; a journal may carry an unknown one
 	cancel context.CancelFunc
 	done   chan struct{} // closed when the job reaches a terminal state
 

@@ -23,6 +23,9 @@ import (
 	"sipt/internal/sched"
 )
 
+// maxRetries is the retry budget of the ladder fault.Retry runs.
+const maxRetries = 3
+
 // swapSleep replaces the package sleep hook for the test, recording the
 // requested delays instead of waiting, and restores it on cleanup.
 func swapSleep(t *testing.T) *[]time.Duration {

@@ -25,7 +25,6 @@ import (
 	"sort"
 	"sync"
 
-	"sipt/internal/exp"
 	"sipt/internal/replay"
 	"sipt/internal/report"
 	"sipt/internal/store"
@@ -219,11 +218,7 @@ func (s *Server) buildTraceRun(req RunRequest) (runFunc, error) {
 	if err != nil {
 		return nil, err
 	}
-	base := s.runner.Options()
-	opts := exp.Options{Records: base.Records, Seed: req.Seed, Workers: base.Workers}
-	if opts.Seed == 0 {
-		opts.Seed = base.Seed
-	}
+	view := s.jobRunner(0, req.Seed, nil)
 	return func(ctx context.Context, id string) (jobResult, error) {
 		// Existence is checked inside the job, not at admission: a trace
 		// evicted between submit and run fails that one job cleanly. The
@@ -240,8 +235,7 @@ func (s *Server) buildTraceRun(req RunRequest) (runFunc, error) {
 		cfg := cfg
 		cfg.NoContig = meta.Scenario == vm.ScenarioNoContig
 		load := func() (*replay.Buffer, error) { return s.loadTrace(key, meta) }
-		r := s.runner.WithOptions(opts).WithContext(ctx).WithCheckpoint(s.laneCheckpoint(id))
-		st, err := r.RunTrace(key.String(), meta.App, load, cfg)
+		st, err := view(ctx, id).RunTrace(key.String(), meta.App, load, cfg)
 		if err != nil {
 			return jobResult{}, err
 		}
