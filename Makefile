@@ -90,8 +90,8 @@ chaos:
 	$(GO) test -race -short -run 'TestChaos' ./internal/fabric/
 
 # Native Go fuzzing over the pure bit-math and allocator invariants,
-# the buddy allocator, address space, core timing model and memo cache
-# against their plain references, replayed workload programs against
+# the buddy allocator, address space, core timing model, L1/LLC cache,
+# TLB and memo cache against their plain references, replayed workload programs against
 # live generators, plus the lint loader/dataflow stack
 # on generated Go sources. CI's fuzz job runs this target.
 fuzz:
@@ -102,6 +102,8 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzAddressSpaceMatchesReference -fuzztime=$(FUZZTIME) ./internal/vm/
 	$(GO) test -run='^$$' -fuzz=FuzzProgramMatchesLive -fuzztime=$(FUZZTIME) ./internal/workload/
 	$(GO) test -run='^$$' -fuzz=FuzzCoreMatchesReference -fuzztime=$(FUZZTIME) ./internal/cpu/
+	$(GO) test -run='^$$' -fuzz=FuzzCacheMatchesLRUReference -fuzztime=$(FUZZTIME) ./internal/cache/
+	$(GO) test -run='^$$' -fuzz=FuzzTLBMatchesReference -fuzztime=$(FUZZTIME) ./internal/tlb/
 	$(GO) test -run='^$$' -fuzz=FuzzCacheMatchesReference -fuzztime=$(FUZZTIME) ./internal/memo/
 	$(GO) test -run='^$$' -fuzz=FuzzLoader -fuzztime=$(FUZZTIME) ./internal/lint/
 	$(GO) test -run='^$$' -fuzz=FuzzReadBuffer -fuzztime=$(FUZZTIME) ./internal/tracefile/

@@ -134,6 +134,13 @@ func TestRunExitCodes(t *testing.T) {
 	if code := run([]string{"-l1", "banana"}, &out, &errOut); code != 1 {
 		t.Errorf("bad geometry exit = %d, want 1", code)
 	}
+	errOut.Reset()
+	if code := run([]string{"-l1", "32K32w", "-records", "2000"}, &out, &errOut); code != 1 {
+		t.Errorf("32-way L1 exit = %d, want 1", code)
+	}
+	if !strings.Contains(errOut.String(), "32 ways above 16") {
+		t.Errorf("32-way L1 stderr = %q, want the way limit named", errOut.String())
+	}
 	if code := run([]string{"-bogus"}, &out, &errOut); code != 2 {
 		t.Errorf("bad flag exit = %d, want 2", code)
 	}

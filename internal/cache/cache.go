@@ -29,12 +29,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache %s: size %d not a power of two", c.Name, c.SizeBytes)
 	case c.Ways <= 0:
 		return fmt.Errorf("cache %s: ways = %d", c.Name, c.Ways)
+	case c.Ways > maxWays:
+		// A set's recency word holds 16 four-bit way numbers.
+		return fmt.Errorf("cache %s: %d ways above %d", c.Name, c.Ways, maxWays)
 	case c.LineBytes == 0 || !memaddr.IsPow2(c.LineBytes):
 		return fmt.Errorf("cache %s: line %d not a power of two", c.Name, c.LineBytes)
-	case c.LineBytes < 2:
-		// Tags are PA>>lineBits; with no offset bit they reach bit 63,
-		// which the tag store reserves for its valid flag (tagValid).
-		return fmt.Errorf("cache %s: line %d below 2 bytes", c.Name, c.LineBytes)
+	case c.LineBytes < 4:
+		// Tags are PA>>lineBits; with fewer than two offset bits they
+		// reach bit 62 or 63, which a line word keeps for its flags.
+		return fmt.Errorf("cache %s: line %d below 4 bytes", c.Name, c.LineBytes)
 	case c.SizeBytes%(uint64(c.Ways)*c.LineBytes) != 0:
 		return fmt.Errorf("cache %s: size %d not divisible by ways*line", c.Name, c.SizeBytes)
 	case !memaddr.IsPow2(c.SizeBytes / (uint64(c.Ways) * c.LineBytes)):
@@ -62,22 +65,30 @@ func (c Config) SpecBits() uint {
 	return memaddr.Log2(wayBytes) - memaddr.PageShift
 }
 
-// Line metadata is stored structure-of-arrays: one slab per field
-// (tags, stamps, dirty bits) instead of an array of 16-byte line
-// structs. The way scan — the hottest loop in the simulator — then
-// touches only the tag slab: 8 bytes per way, so an 8-way set's scan
-// reads one hardware cache line instead of two, and a 16-way LLC set
-// reads two instead of four. Stamps are read only on fills (LRU
-// victim choice) and written on non-memoised hits; dirty bits only on
-// writes and evictions.
+// Each line is one word: the tag (PA>>lineBits), tagValid in bit 63
+// and tagDirty in bit 62. An empty way is plain 0. Lookups compare
+// the word with tagDirty masked off against tag|tagValid, so an empty
+// way never matches and a way scan, the hottest loop in the simulator,
+// reads 8 bytes per way and nothing else. Real tags stay below 2^62
+// because Validate requires LineBytes >= 4, so neither flag can alias
+// a tag bit.
 //
-// The valid flag is folded into the tag's high bit (tagValid): a
-// stored tag is realTag|tagValid, an empty slot is 0. Lookups compare
-// against key|tagValid, so invalid slots can never match (real tags
-// are PA>>lineBits < 2^63, because Validate requires LineBytes >= 2)
-// and the scan needs no separate valid load.
-// Invalid slots keep stamp 0, preserving the AoS victim-scan order.
-const tagValid = 1 << 63
+// LRU is a recency word per set: Ways 4-bit way numbers, the most
+// recently used in the low nibble and the LRU way in nibble Ways-1
+// (hence Validate's limit of 16 ways). A new set lists its ways in
+// descending order, so the tail is way 0. A hit or a fill moves its
+// way to the front; the MRU way-predictor probe reads the head and a
+// fill's victim is always the tail. Lines are never invalidated, so
+// the empty ways stay behind every valid one in ascending order: the
+// tail is the lowest-index empty way while the set fills and the LRU
+// way after, the same victim a timestamp LRU picks.
+const (
+	tagValid = 1 << 63
+	tagDirty = 1 << 62
+)
+
+// maxWays is the number of 4-bit way numbers a recency word holds.
+const maxWays = 16
 
 // Stats accumulates per-level access counters.
 type Stats struct {
@@ -99,34 +110,26 @@ func (s Stats) HitRate() float64 {
 // Cache is one set-associative write-back, write-allocate cache.
 type Cache struct {
 	cfg Config
-	// tags/stamps/dirty are the flat per-field backing arrays: set s
-	// occupies index range [s*ways, (s+1)*ways) in each. Flat slabs
-	// instead of a slice of slices save the per-access dependent load
-	// of a set header; the per-field split keeps the way scan on the
-	// tag slab only (see the layout comment above tagValid).
-	tags   []uint64 // realTag|tagValid when occupied, 0 when free
-	stamps []uint32 // LRU: larger = more recently used; 0 when free
-	dirty  []bool
-	ways   uint64
-	// mru tracks each set's most-recently-used way incrementally (-1
-	// for an empty set), so the per-access MRU way-predictor probe is
-	// O(1) instead of a scan. The invariant: mru[s] is the valid way of
-	// set s with the largest stamp, because every stamp update (Access
-	// hit, Fill) also updates mru.
-	mru      []int16
-	setMask  uint64
-	lineBits uint
-	clock    uint32
-	stats    Stats
+	// lines holds one word per line (see the layout comment above
+	// tagValid); set s occupies [s*ways, (s+1)*ways). A flat slab
+	// instead of a slice of slices saves the per-access dependent load
+	// of a set header.
+	lines []uint64
+	// order is each set's recency word, most recent way first.
+	order     []uint64
+	ways      uint64
+	tailShift uint   // shift of the LRU nibble in a recency word
+	orderMask uint64 // mask of a recency word's Ways nibbles
+	setMask   uint64
+	lineBits  uint
+	stats     Stats
 
-	// lastTag/lastWay memoise the previous demand hit: word walks
-	// re-access the same line several times in a row, and a repeated hit
-	// of the most-recently-touched line needs no way scan and no stamp
-	// update (the line is already the newest everywhere its stamp could
-	// be compared). The tag keeps every bit above the line offset, so it
-	// identifies the set too. Fill and Invalidate clear the memo.
+	// lastTag/lastWay memoise the last line Access hit or Fill
+	// installed. It heads its set's recency word, so a repeated access
+	// needs no way scan and leaves the order unchanged. The tag keeps
+	// every bit above the line offset, so it identifies the set too.
 	lastTag uint64
-	lastWay int16
+	lastWay uint64
 	lastHit bool
 }
 
@@ -137,72 +140,40 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nSets := cfg.Sets()
-	nLines := nSets * uint64(cfg.Ways)
-	mru := make([]int16, nSets)
-	for i := range mru {
-		mru[i] = -1
+	ways := uint64(cfg.Ways)
+	c := &Cache{
+		cfg:       cfg,
+		lines:     make([]uint64, nSets*ways),
+		order:     make([]uint64, nSets),
+		ways:      ways,
+		tailShift: uint(4 * (ways - 1)),
+		orderMask: 1<<(4*ways) - 1, // all ones at 16 ways: the shift yields 0
+		setMask:   nSets - 1,
+		lineBits:  memaddr.Log2(cfg.LineBytes),
 	}
-	return &Cache{
-		cfg:      cfg,
-		tags:     make([]uint64, nLines),
-		stamps:   make([]uint32, nLines),
-		dirty:    make([]bool, nLines),
-		ways:     uint64(cfg.Ways),
-		mru:      mru,
-		setMask:  nSets - 1,
-		lineBits: memaddr.Log2(cfg.LineBytes),
+	// Ways in descending order from the head: way 0 is the first victim.
+	var seed uint64
+	for w := uint64(0); w < ways; w++ {
+		seed = seed<<4 | w
 	}
+	for i := range c.order {
+		c.order[i] = seed
+	}
+	return c
 }
 
-// tick advances the LRU clock. On 32-bit wraparound (4 billion touches
-// of one cache) the stamps are compacted: relative order within each
-// set is all LRU and the MRU predictor need, so the stamps are rebased
-// to small ranks and the clock restarts above them.
+// touch moves way to the front of set si's recency word.
 //
 //sipt:hotpath
-func (c *Cache) tick() uint32 {
-	c.clock++
-	if c.clock == 0 {
-		c.clock = c.compactStamps() + 1
+func (c *Cache) touch(si, way uint64) {
+	o := c.order[si]
+	p := uint(0)
+	for (o>>p)&0xf != way {
+		p += 4
 	}
-	return c.clock
-}
-
-// compactStamps rebases every set's stamps to 1..ways, preserving each
-// set's exact LRU order, and returns the largest stamp now in use.
-// Stamps within a set are unique (every update draws a fresh tick), so
-// ranking by stamp is a total order; the index tie-break is defensive.
-// Runs once per 2^32-1 ticks: clarity over speed.
-func (c *Cache) compactStamps() uint32 {
-	var maxStamp uint32
-	old := make([]uint32, c.ways)
-	ways := int(c.ways)
-	for si := uint64(0); si <= c.setMask; si++ {
-		base := si * c.ways
-		tags := c.tags[base : base+c.ways]
-		stamps := c.stamps[base : base+c.ways]
-		copy(old, stamps)
-		for i := 0; i < ways; i++ {
-			if tags[i]&tagValid == 0 {
-				stamps[i] = 0
-				continue
-			}
-			rank := uint32(1)
-			for j := 0; j < ways; j++ {
-				if j == i || tags[j]&tagValid == 0 {
-					continue
-				}
-				if old[j] < old[i] || (old[j] == old[i] && j < i) {
-					rank++
-				}
-			}
-			stamps[i] = rank
-			if rank > maxStamp {
-				maxStamp = rank
-			}
-		}
-	}
-	return maxStamp
+	// The p/4 ways ahead of way move back one nibble; the rest stay.
+	ahead := o & (1<<p - 1)
+	c.order[si] = o&^(1<<(p+4)-1) | ahead<<4 | way
 }
 
 // Config returns the cache's configuration.
@@ -256,46 +227,31 @@ func (c *Cache) Access(pa memaddr.PAddr, write bool) AccessResult {
 	si := c.SetOf(pa)
 	tag := c.tagOf(pa)
 	if c.lastHit && c.lastTag == tag {
-		// Repeated hit of the most recent line: it is the MRU way of its
-		// set by construction, so the predictor would have fetched it.
+		// The memoised line heads its set, so the predictor fetched it.
 		if write {
-			c.dirty[si*c.ways+uint64(c.lastWay)] = true
+			c.lines[si*c.ways+c.lastWay] |= tagDirty
 		}
 		c.stats.Hits++
 		return AccessResult{Hit: true, Way: int(c.lastWay), MRUHit: true}
 	}
-	now := c.tick()
 	base := si * c.ways
-	tags := c.tags[base : base+c.ways]
+	lines := c.lines[base : base+c.ways]
 	key := tag | tagValid
-	mru := int(c.mru[si])
-	for i := range tags {
-		if tags[i] == key {
-			c.stamps[base+uint64(i)] = now
-			c.mru[si] = int16(i)
+	for i, l := range lines {
+		if l&^tagDirty == key {
 			if write {
-				c.dirty[base+uint64(i)] = true
+				lines[i] = l | tagDirty
 			}
+			way := uint64(i)
+			mruHit := c.order[si]&0xf == way
+			c.touch(si, way)
 			c.stats.Hits++
-			c.lastTag, c.lastWay, c.lastHit = tag, int16(i), true
-			return AccessResult{Hit: true, Way: i, MRUHit: i == mru}
+			c.lastTag, c.lastWay, c.lastHit = tag, way, true
+			return AccessResult{Hit: true, Way: i, MRUHit: mruHit}
 		}
 	}
 	c.stats.Misses++
-	c.lastHit = false
 	return AccessResult{}
-}
-
-// Probe checks for presence without touching LRU, stats, or dirty bits.
-func (c *Cache) Probe(pa memaddr.PAddr) bool {
-	base := c.SetOf(pa) * c.ways
-	key := c.tagOf(pa) | tagValid
-	for _, t := range c.tags[base : base+c.ways] {
-		if t == key {
-			return true
-		}
-	}
-	return false
 }
 
 // Fill installs the line containing pa, evicting the LRU way if needed.
@@ -304,124 +260,40 @@ func (c *Cache) Probe(pa memaddr.PAddr) bool {
 //
 //sipt:hotpath
 func (c *Cache) Fill(pa memaddr.PAddr, dirty bool) (Victim, bool) {
-	now := c.tick()
 	c.stats.Fills++
-	c.lastHit = false
 	si := c.SetOf(pa)
 	base := si * c.ways
-	tags := c.tags[base : base+c.ways]
-	stamps := c.stamps[base : base+c.ways]
+	lines := c.lines[base : base+c.ways]
 	tag := c.tagOf(pa)
 	key := tag | tagValid
-	// One pass decides everything: a present line is refreshed (refill
-	// can happen when an upper level re-fetches after a writeback race);
-	// otherwise the victim is the first invalid way, else the LRU way.
-	// Invalid ways keep stamp 0, so the LRU comparison sees the same
-	// values the AoS zero-valued line struct had.
-	vi, free := 0, -1
-	for i := range tags {
-		if tags[i]&tagValid == 0 {
-			if free < 0 {
-				free = i
-			}
-			continue
-		}
-		if tags[i] == key {
-			stamps[i] = now
-			c.mru[si] = int16(i)
-			if dirty {
-				c.dirty[base+uint64(i)] = true
-			}
+	word := key
+	if dirty {
+		word |= tagDirty
+	}
+	c.lastTag, c.lastHit = tag, true
+	// A present line is refreshed (refill can happen when an upper
+	// level re-fetches after a writeback race); it keeps a dirty bit.
+	for i, l := range lines {
+		if l&^tagDirty == key {
+			lines[i] = l | word
+			c.lastWay = uint64(i)
+			c.touch(si, c.lastWay)
 			return Victim{}, false
 		}
-		if stamps[i] < stamps[vi] {
-			vi = i
-		}
 	}
-	if free >= 0 {
-		vi = free
+	// The victim is the tail; moving it to the front rotates the word.
+	o := c.order[si]
+	vi := o >> c.tailShift
+	c.order[si] = (o<<4 | vi) & c.orderMask
+	c.lastWay = vi
+	old := lines[vi]
+	lines[vi] = word
+	if old&tagValid == 0 {
+		return Victim{}, false
 	}
-	var victim Victim
-	evicted := tags[vi]&tagValid != 0
-	if evicted {
-		victim = Victim{PA: memaddr.PAddr((tags[vi] &^ tagValid) << c.lineBits), Dirty: c.dirty[base+uint64(vi)]}
-		if victim.Dirty {
-			c.stats.Writebacks++
-		}
+	victim := Victim{PA: memaddr.PAddr((old &^ (tagValid | tagDirty)) << c.lineBits), Dirty: old&tagDirty != 0}
+	if victim.Dirty {
+		c.stats.Writebacks++
 	}
-	tags[vi] = key
-	stamps[vi] = now
-	c.dirty[base+uint64(vi)] = dirty
-	c.mru[si] = int16(vi)
-	return victim, evicted
-}
-
-// Invalidate drops the line containing pa if present, returning whether
-// it was dirty (the caller owns the writeback).
-func (c *Cache) Invalidate(pa memaddr.PAddr) (dirty, present bool) {
-	c.lastHit = false
-	si := c.SetOf(pa)
-	base := si * c.ways
-	key := c.tagOf(pa) | tagValid
-	for i := uint64(0); i < c.ways; i++ {
-		if c.tags[base+i] == key {
-			d := c.dirty[base+i]
-			c.tags[base+i] = 0
-			c.stamps[base+i] = 0
-			c.dirty[base+i] = false
-			if uint64(c.mru[si]) == i {
-				// The MRU line vanished; fall back to a scan.
-				c.mru[si] = int16(c.mruWayOf(base))
-			}
-			return d, true
-		}
-	}
-	return false, false
-}
-
-// MRUWay returns the most-recently-used way of the set pa maps to, or
-// -1 for an empty set. This is the prediction of the paper's simple MRU
-// way predictor (Sec. VII-A).
-func (c *Cache) MRUWay(pa memaddr.PAddr) int {
-	return int(c.mru[c.SetOf(pa)])
-}
-
-// mruWayOf rescans the set starting at slab index base for its
-// highest-stamped valid way, or -1 for an empty set.
-func (c *Cache) mruWayOf(base uint64) int {
-	best := -1
-	var bestStamp uint32
-	for i := uint64(0); i < c.ways; i++ {
-		if c.tags[base+i]&tagValid != 0 && (best == -1 || c.stamps[base+i] > bestStamp) {
-			best = int(i)
-			bestStamp = c.stamps[base+i]
-		}
-	}
-	return best
-}
-
-// CheckNoDuplicates verifies no physical line appears twice (tests).
-func (c *Cache) CheckNoDuplicates() error {
-	seen := make(map[uint64]bool)
-	for i, t := range c.tags {
-		if t&tagValid == 0 {
-			continue
-		}
-		if seen[t] {
-			return fmt.Errorf("cache %s: tag %#x duplicated (set %d)", c.cfg.Name, t&^uint64(tagValid), uint64(i)/c.ways)
-		}
-		seen[t] = true
-	}
-	return nil
-}
-
-// LineCount returns the number of valid lines (tests).
-func (c *Cache) LineCount() int {
-	n := 0
-	for _, t := range c.tags {
-		if t&tagValid != 0 {
-			n++
-		}
-	}
-	return n
+	return victim, true
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -16,43 +17,53 @@ func TestConfigValidate(t *testing.T) {
 	if err := cfg32K8W().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := []Config{
-		{Name: "a", SizeBytes: 0, Ways: 8, LineBytes: 64},
-		{Name: "b", SizeBytes: 30 << 10, Ways: 8, LineBytes: 64},
-		{Name: "c", SizeBytes: 32 << 10, Ways: 0, LineBytes: 64},
-		{Name: "d", SizeBytes: 32 << 10, Ways: 8, LineBytes: 48},
-		{Name: "e", SizeBytes: 32 << 10, Ways: 3, LineBytes: 64},
-		{Name: "f", SizeBytes: 32 << 10, Ways: 8, LineBytes: 64, LatencyCycles: -1},
-		{Name: "g", SizeBytes: 64, Ways: 64, LineBytes: 1}, // tags would reach bit 63
+	bad := []struct {
+		cfg  Config
+		want string // part of the error
+	}{
+		{Config{Name: "a", SizeBytes: 0, Ways: 8, LineBytes: 64}, "size 0"},
+		{Config{Name: "b", SizeBytes: 30 << 10, Ways: 8, LineBytes: 64}, "not a power of two"},
+		{Config{Name: "c", SizeBytes: 32 << 10, Ways: 0, LineBytes: 64}, "ways = 0"},
+		{Config{Name: "d", SizeBytes: 32 << 10, Ways: 8, LineBytes: 48}, "line 48"},
+		{Config{Name: "e", SizeBytes: 32 << 10, Ways: 3, LineBytes: 64}, "not divisible"},
+		{Config{Name: "f", SizeBytes: 32 << 10, Ways: 8, LineBytes: 64, LatencyCycles: -1}, "latency"},
+		// Tags of 2-byte lines reach bit 62, a line word's dirty flag.
+		{Config{Name: "g", SizeBytes: 32, Ways: 16, LineBytes: 2}, "below 4 bytes"},
+		// A recency word holds 16 way numbers.
+		{Config{Name: "h", SizeBytes: 32 << 10, Ways: 17, LineBytes: 64}, "17 ways above 16"},
+		{Config{Name: "i", SizeBytes: 32 << 10, Ways: 32, LineBytes: 64}, "32 ways above 16"},
 	}
 	for _, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("%s: invalid config accepted", c.Name)
+		err := c.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want an error containing %q", c.cfg.Name, err, c.want)
 		}
 	}
 }
 
 // TestNoTagAliasAtBit63 checks that, for every line size Validate
-// accepts, a line whose PA has bit 63 set never answers a lookup for
-// the same PA with bit 63 clear: the stored tag's valid bit must not
-// collide with a real tag bit.
+// accepts, a line whose PA has bit 63 or bit 62 set never answers a
+// lookup for the same PA with that bit clear: a line word's valid and
+// dirty flags must not collide with a real tag bit.
 func TestNoTagAliasAtBit63(t *testing.T) {
 	for line := uint64(1); line <= 64; line *= 2 {
-		cfg := Config{Name: "alias", SizeBytes: 64 * line, Ways: 64, LineBytes: line}
+		cfg := Config{Name: "alias", SizeBytes: 16 * line, Ways: 16, LineBytes: line}
 		if cfg.Validate() != nil {
 			continue
 		}
-		c := New(cfg)
-		c.Fill(memaddr.PAddr(1<<63|0x40), false)
-		if c.Access(memaddr.PAddr(0x40), false).Hit {
-			t.Errorf("line %d B: PA 0x40 hits the line filled for 1<<63|0x40", line)
-		}
-		if c.Probe(memaddr.PAddr(0x40)) {
-			t.Errorf("line %d B: Probe(0x40) finds the line filled for 1<<63|0x40", line)
+		for _, high := range []memaddr.PAddr{1 << 63, 1 << 62} {
+			c := New(cfg)
+			c.Fill(high|0x40, true)
+			if c.Access(0x40, false).Hit {
+				t.Errorf("line %d B: PA 0x40 hits the line filled for %#x|0x40", line, uint64(high))
+			}
+			c.Fill(0x40, false)
+			if v, evicted := c.Fill(high|0x40, false); evicted {
+				t.Errorf("line %d B: refilling %#x|0x40 evicted %+v", line, uint64(high), v)
+			}
 		}
 	}
 }
-
 func TestConfigGeometry(t *testing.T) {
 	c := cfg32K8W()
 	if c.Sets() != 64 {
@@ -130,7 +141,7 @@ func TestLRUEviction(t *testing.T) {
 	if v.PA.Line() != b.Line() {
 		t.Errorf("evicted %#x, want %#x (LRU)", v.PA, b)
 	}
-	if !c.Probe(a) || !c.Probe(d) || c.Probe(b) {
+	if !c.Access(a, false).Hit || !c.Access(d, false).Hit || c.Access(b, false).Hit {
 		t.Error("post-eviction contents wrong")
 	}
 }
@@ -174,67 +185,40 @@ func TestRefillExistingLine(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New(cfg32K8W())
-	c.Fill(0x1000, false)
-	c.Access(0x1000, true)
-	dirty, present := c.Invalidate(0x1000)
-	if !present || !dirty {
-		t.Errorf("Invalidate = dirty %v present %v", dirty, present)
-	}
-	if c.Probe(0x1000) {
-		t.Error("line survived invalidation")
-	}
-	if _, present := c.Invalidate(0x1000); present {
-		t.Error("second invalidation found the line")
-	}
-}
-
+// TestMRUWayTracking checks AccessResult.MRUHit, the MRU way
+// predictor's outcome: a hit is an MRU hit exactly when its way headed
+// the set's recency order before the access.
 func TestMRUWayTracking(t *testing.T) {
 	cfg := Config{Name: "t", SizeBytes: 8 << 10, Ways: 4, LineBytes: 64}
 	c := New(cfg)
-	if c.MRUWay(0) != -1 {
-		t.Error("empty set must have no MRU way")
-	}
-	stride := cfg.WayBytes()
-	c.Fill(0x0, false)
-	c.Fill(memaddr.PAddr(stride), false)
-	r := c.Access(0x0, false)
+	stride := memaddr.PAddr(cfg.WayBytes())
+	c.Fill(0, false)
+	c.Fill(stride, false)
+	r := c.Access(0, false)
 	if !r.Hit {
 		t.Fatal("expected hit")
 	}
-	if got := c.MRUWay(0); got != r.Way {
-		t.Errorf("MRUWay = %d, want %d", got, r.Way)
-	}
-	// The access to 0x0 was NOT to the pre-access MRU way (stride line
-	// was filled later), so MRUHit must be false.
+	// The line at stride was filled later, so 0x0 was not the MRU way.
 	if r.MRUHit {
 		t.Error("MRUHit true for non-MRU access")
 	}
-	// A repeat access now targets the MRU way.
-	if r2 := c.Access(0x0, false); !r2.MRUHit {
-		t.Error("repeat access should be an MRU hit")
+	if r2 := c.Access(0, false); !r2.MRUHit || r2.Way != r.Way {
+		t.Errorf("repeat access = %+v, want an MRU hit on way %d", r2, r.Way)
+	}
+	if r3 := c.Access(stride, true); r3.MRUHit {
+		t.Error("MRUHit true after another line's access")
+	}
+	// A filled line heads its set.
+	c.Fill(2*stride, false)
+	if r4 := c.Access(2*stride, false); !r4.MRUHit {
+		t.Error("access after a fill missed the MRU way")
+	}
+	if r5 := c.Access(0, false); r5.MRUHit {
+		t.Error("MRUHit true for the third most recent line")
 	}
 }
 
-func TestProbeDoesNotPerturb(t *testing.T) {
-	cfg := Config{Name: "t", SizeBytes: 8 << 10, Ways: 2, LineBytes: 64}
-	c := New(cfg)
-	stride := cfg.WayBytes()
-	c.Fill(0x0, false)
-	c.Fill(memaddr.PAddr(stride), false)
-	before := c.Stats()
-	c.Probe(0x0) // must not refresh LRU or bump stats
-	if c.Stats() != before {
-		t.Error("Probe changed stats")
-	}
-	v, _ := c.Fill(memaddr.PAddr(2*stride), false)
-	if v.PA.Line() != 0 {
-		t.Errorf("Probe refreshed LRU: evicted %#x, want 0x0", v.PA)
-	}
-}
-
-// TestNoDuplicateLinesProperty drives random fills/accesses/invalidates
+// TestNoDuplicateLinesProperty drives random fills and accesses
 // and verifies the cache never holds a physical line twice.
 func TestNoDuplicateLinesProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -242,15 +226,12 @@ func TestNoDuplicateLinesProperty(t *testing.T) {
 		c := New(Config{Name: "t", SizeBytes: 4 << 10, Ways: 2, LineBytes: 64})
 		for i := 0; i < 500; i++ {
 			pa := memaddr.PAddr(rng.Intn(1<<14) * 64)
-			switch rng.Intn(3) {
-			case 0:
+			if rng.Intn(2) == 0 {
 				if !c.Access(pa, rng.Intn(2) == 0).Hit {
 					c.Fill(pa, false)
 				}
-			case 1:
+			} else {
 				c.Fill(pa, rng.Intn(2) == 0)
-			case 2:
-				c.Invalidate(pa)
 			}
 		}
 		return c.CheckNoDuplicates() == nil
@@ -260,8 +241,8 @@ func TestNoDuplicateLinesProperty(t *testing.T) {
 	}
 }
 
-// TestHitAfterFillProperty: any line just filled must hit until evicted
-// or invalidated; capacity is never exceeded.
+// TestHitAfterFillProperty: a line just filled must hit, and capacity
+// is never exceeded.
 func TestHitAfterFillProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -271,7 +252,7 @@ func TestHitAfterFillProperty(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			pa := memaddr.PAddr(rng.Intn(1<<13) * 64)
 			c.Fill(pa, false)
-			if !c.Probe(pa) {
+			if !c.Access(pa, false).Hit {
 				return false
 			}
 			if c.LineCount() > maxLines {

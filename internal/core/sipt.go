@@ -452,8 +452,5 @@ func (l *L1) Fill(pa memaddr.PAddr, dirty bool) (cache.Victim, bool) {
 	return l.cache.Fill(pa, dirty)
 }
 
-// Probe reports presence without side effects.
-func (l *L1) Probe(pa memaddr.PAddr) bool { return l.cache.Probe(pa) }
-
 // Cache exposes the underlying cache for tests and tools.
 func (l *L1) Cache() *cache.Cache { return l.cache }

@@ -248,9 +248,6 @@ func TestStatsInvariantsAcrossModes(t *testing.T) {
 			if err := l.Stats().CheckInvariants(); err != nil {
 				t.Errorf("mode %v geom %v: %v", m, geom, err)
 			}
-			if err := l.Cache().CheckNoDuplicates(); err != nil {
-				t.Errorf("mode %v geom %v: %v", m, geom, err)
-			}
 		}
 	}
 }

@@ -51,6 +51,9 @@ func runConfig(req RunRequest) (cfg sim.Config, sc vm.Scenario, label string, er
 	cfg = sim.SIPT(coreCfg, sizeKiB, ways, m)
 	cfg.WayPrediction = req.WayPred
 	cfg.NoContig = sc == vm.ScenarioNoContig
+	if err := cfg.Validate(); err != nil {
+		return cfg, sc, "", err
+	}
 	label = fmt.Sprintf("%s %s", cfg.Label(), coreCfg.Name)
 	return cfg, sc, label, nil
 }

@@ -146,6 +146,8 @@ func TestRunValidation(t *testing.T) {
 	cases := []string{
 		`{"l1":"32K2w"}`,                 // missing app
 		`{"app":"mcf","l1":"banana"}`,    // bad geometry
+		`{"app":"mcf","l1":"32K32w"}`,    // more ways than a recency word holds
+		`{"app":"mcf","l1":"32K3w"}`,     // set count not a power of two
 		`{"app":"mcf","mode":"warp"}`,    // bad mode
 		`{"app":"mcf","core":"quantum"}`, // bad core
 		`{"app":"mcf","scenario":"x"}`,   // bad scenario

@@ -77,6 +77,9 @@ func (c Config) Validate() error {
 	if c.L1SizeKiB <= 0 || c.L1Ways <= 0 {
 		return fmt.Errorf("sim: L1 geometry %dKiB/%d-way", c.L1SizeKiB, c.L1Ways)
 	}
+	if err := c.l1Config(0).Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
 	if c.Cores != 1 && c.Cores != 4 {
 		return fmt.Errorf("sim: cores = %d (1 or 4)", c.Cores)
 	}

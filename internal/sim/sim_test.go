@@ -48,6 +48,11 @@ func TestConfigValidateAndLabel(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("0 ways accepted")
 	}
+	bad = b
+	bad.L1Ways = 32
+	if err := bad.Validate(); err == nil {
+		t.Error("32 ways accepted")
+	}
 }
 
 func TestHierarchyLevels(t *testing.T) {

@@ -68,8 +68,12 @@ type AddressSpace struct {
 	// mappings until leafAt zeroes them.
 	spare []*pageLeaf
 	vmas  []vma
-	next  memaddr.VAddr // next mmap base
-	stats Stats
+	// vmaBuf is vmas' backing array from its start: Munmap drops the
+	// lowest VMA by reslicing vmas, and Reset rewinds to vmaBuf so a
+	// torn-down space reuses the whole array.
+	vmaBuf []vma
+	next   memaddr.VAddr // next mmap base
+	stats  Stats
 
 	// colored enables page-colored allocation (see coloring.go).
 	colored  bool
@@ -103,7 +107,7 @@ func (as *AddressSpace) Reset() {
 		}
 	}
 	as.lowPages = nil
-	as.vmas = as.vmas[:0]
+	as.vmas = as.vmaBuf
 	as.next = MmapBase
 	as.stats = Stats{}
 	as.coloring = ColoringStats{}
@@ -189,7 +193,11 @@ func (as *AddressSpace) Mmap(size uint64) memaddr.VAddr {
 	if size >= memaddr.HugePageBytes {
 		base = memaddr.VAddr(memaddr.AlignUp(uint64(base), memaddr.HugePageBytes))
 	}
+	grown := len(as.vmas) == cap(as.vmas)
 	as.vmas = append(as.vmas, vma{base: base, size: size})
+	if grown {
+		as.vmaBuf = as.vmas[:0]
+	}
 	// Leave a one-page guard gap between VMAs so adjacent regions never
 	// share a huge-page-sized range.
 	as.next = base + memaddr.VAddr(size) + memaddr.PageBytes
