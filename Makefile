@@ -91,9 +91,10 @@ chaos:
 
 # Native Go fuzzing over the pure bit-math and allocator invariants,
 # the buddy allocator, address space, core timing model, L1/LLC cache,
-# TLB and memo cache against their plain references, replayed workload programs against
-# live generators, plus the lint loader/dataflow stack
-# on generated Go sources. CI's fuzz job runs this target.
+# TLB and memo cache against their plain references, replayed workload
+# programs against live generators, the sized perceptron against the
+# fixed one, plus the lint loader/dataflow stack on generated Go
+# sources. CI's fuzz job runs this target.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzIndexDelta -fuzztime=$(FUZZTIME) ./internal/memaddr/
 	$(GO) test -run='^$$' -fuzz=FuzzUnchangedBits -fuzztime=$(FUZZTIME) ./internal/memaddr/
@@ -104,6 +105,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCoreMatchesReference -fuzztime=$(FUZZTIME) ./internal/cpu/
 	$(GO) test -run='^$$' -fuzz=FuzzCacheMatchesLRUReference -fuzztime=$(FUZZTIME) ./internal/cache/
 	$(GO) test -run='^$$' -fuzz=FuzzTLBMatchesReference -fuzztime=$(FUZZTIME) ./internal/tlb/
+	$(GO) test -run='^$$' -fuzz=FuzzSizedPerceptronMatchesPerceptron -fuzztime=$(FUZZTIME) ./internal/predictor/
 	$(GO) test -run='^$$' -fuzz=FuzzCacheMatchesReference -fuzztime=$(FUZZTIME) ./internal/memo/
 	$(GO) test -run='^$$' -fuzz=FuzzLoader -fuzztime=$(FUZZTIME) ./internal/lint/
 	$(GO) test -run='^$$' -fuzz=FuzzReadBuffer -fuzztime=$(FUZZTIME) ./internal/tracefile/

@@ -21,25 +21,28 @@ type bypassPredictor interface {
 	Stats() predictor.PerceptronStats
 }
 
+// bypassDesigns are abl-pred's columns. The first is the Perceptron
+// core.L1 runs, so its column equals Fig. 9's 2-bit accuracy.
+var bypassDesigns = []struct {
+	name string
+	mk   func() bypassPredictor
+}{
+	{"perceptron-64x12", func() bypassPredictor { return predictor.NewPerceptron() }},
+	{"perceptron-256x12", func() bypassPredictor { return predictor.NewSizedPerceptron(256, 12) }},
+	{"perceptron-64x24", func() bypassPredictor { return predictor.NewSizedPerceptron(64, 24) }},
+	{"perceptron-512x32", func() bypassPredictor { return predictor.NewSizedPerceptron(512, 32) }},
+	{"counter-64", func() bypassPredictor { return predictor.NewCounter(64) }},
+	{"counter-1024", func() bypassPredictor { return predictor.NewCounter(1024) }},
+}
+
 // AblationPredictor regenerates the paper's Sec. V sensitivity claims
 // as a table: the default 64x12 perceptron against larger tables,
 // longer histories, and the rejected 2-bit-counter design, measured as
 // bypass-prediction accuracy on each app's real index-bit outcome
 // stream (2 speculative bits, the 32K/2w geometry).
 func AblationPredictor(r *Runner) ([]*report.Table, error) {
-	designs := []struct {
-		name string
-		mk   func() bypassPredictor
-	}{
-		{"perceptron-64x12", func() bypassPredictor { return predictor.NewPerceptron() }},
-		{"perceptron-256x12", func() bypassPredictor { return predictor.NewSizedPerceptron(256, 12) }},
-		{"perceptron-64x24", func() bypassPredictor { return predictor.NewSizedPerceptron(64, 24) }},
-		{"perceptron-512x32", func() bypassPredictor { return predictor.NewSizedPerceptron(512, 32) }},
-		{"counter-64", func() bypassPredictor { return predictor.NewCounter(64) }},
-		{"counter-1024", func() bypassPredictor { return predictor.NewCounter(1024) }},
-	}
 	cols := []string{"app"}
-	for _, d := range designs {
+	for _, d := range bypassDesigns {
 		cols = append(cols, d.name)
 	}
 	t := &report.Table{
@@ -48,36 +51,45 @@ func AblationPredictor(r *Runner) ([]*report.Table, error) {
 			"paper: perceptrons insensitive to upsizing, counters ~85% and inconsistent",
 		Columns: cols,
 	}
-	const bits = 2
-	return appTable(r, t, repeatMean(amean, len(designs)), func(app string) ([]float64, error) {
-		rd, err := r.traceReader(app, vm.ScenarioNormal)
-		if err != nil {
-			return nil, err
-		}
-		preds := make([]bypassPredictor, len(designs))
-		for i, d := range designs {
-			preds[i] = d.mk()
-		}
-		err = eachRecord(rd, func(rec *trace.Record) {
-			unchanged := memaddr.BitsUnchanged(rec.VA, rec.PA, bits)
-			for _, p := range preds {
-				p.Train(rec.PC, p.Predict(rec.PC), unchanged)
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		acc := make([]float64, len(preds))
-		for i, p := range preds {
-			acc[i] = p.Stats().Accuracy()
-		}
-		return acc, nil
+	return appTable(r, t, repeatMean(amean, len(bypassDesigns)), func(app string) ([]float64, error) {
+		return bypassAccuracies(r, app)
 	})
+}
+
+// bypassAccuracies is one row of abl-pred: every design predicts and
+// trains on each record of app's trace in turn.
+func bypassAccuracies(r *Runner, app string) ([]float64, error) {
+	const bits = 2
+	rd, err := r.traceReader(app, vm.ScenarioNormal)
+	if err != nil {
+		return nil, err
+	}
+	preds := make([]bypassPredictor, len(bypassDesigns))
+	for i, d := range bypassDesigns {
+		preds[i] = d.mk()
+	}
+	err = eachRecord(rd, func(rec *trace.Record) {
+		unchanged := memaddr.BitsUnchanged(rec.VA, rec.PA, bits)
+		for _, p := range preds {
+			p.Train(rec.PC, p.Predict(rec.PC), unchanged)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	acc := make([]float64, len(preds))
+	for i, p := range preds {
+		acc[i] = p.Stats().Accuracy()
+	}
+	return acc, nil
 }
 
 // AblationIDB sweeps the index delta buffer entry count, showing the
 // paper's implicit claim that a tiny (64-entry) IDB suffices because
 // deltas are stable per region.
+// Each IDB predicts on every access by design; core.L1 asks its IDB
+// only when the perceptron bypasses, so the columns are not Fig. 12's
+// idb-hit.
 func AblationIDB(r *Runner) ([]*report.Table, error) {
 	entryCounts := []int{8, 16, 64, 256}
 	cols := []string{"app"}
@@ -121,8 +133,7 @@ func AblationIDB(r *Runner) ([]*report.Table, error) {
 // AblationWayPredictor compares the paper's evaluated MRU way
 // predictor against the "fancier" PC-indexed alternative it alludes to
 // (Sec. VII-A), on both the 8-way baseline geometry and the 2-way SIPT
-// geometry, by replaying each app's physical access stream through a
-// cache and querying both predictors.
+// geometry.
 func AblationWayPredictor(r *Runner) ([]*report.Table, error) {
 	t := &report.Table{
 		Title: "Ablation: way predictor design (Sec. VII-A)",
@@ -130,36 +141,56 @@ func AblationWayPredictor(r *Runner) ([]*report.Table, error) {
 			"robust, and lowering associativity (SIPT) raises it further",
 		Columns: []string{"app", "mru-8way", "pc-8way", "mru-2way", "pc-2way"},
 	}
-	return appTable(r, t, []mean{amean, amean, amean, amean}, func(app string) ([]float64, error) {
-		rd, err := r.traceReader(app, vm.ScenarioNormal)
-		if err != nil {
-			return nil, err
-		}
-		recs, err := trace.Collect(rd, 0)
-		if err != nil {
-			return nil, err
-		}
-		acc := make([]float64, 0, 4)
-		for _, ways := range []int{8, 2} {
-			c := cache.New(cache.Config{
-				Name: "L1", SizeBytes: 32 << 10, Ways: ways, LineBytes: 64,
-			})
-			mru := predictor.NewMRUWay(int(c.Config().Sets()))
-			pcw := predictor.NewPCWay(1024)
-			for _, rec := range recs {
-				res := c.Access(rec.PA, rec.IsStore())
-				if !res.Hit {
-					c.Fill(rec.PA, rec.IsStore())
-					continue
-				}
-				set := c.SetOf(rec.PA)
-				mru.Update(rec.PC, set, res.Way)
-				pcw.Update(rec.PC, set, res.Way)
-			}
-			acc = append(acc, mru.Stats().Accuracy(), pcw.Stats().Accuracy())
-		}
-		return acc, nil
+	return appTable(r, t, repeatMean(amean, 4), func(app string) ([]float64, error) {
+		return wayPredictorAccuracies(r, app)
 	})
+}
+
+// wayPredictorAccuracies is one row of abl-way: it replays app's
+// physical access stream through a 32K L1 of 8 and then 2 ways and
+// scores both predictors over every L1 hit. The MRU column reads the
+// cache's recency head, the signal core.L1 uses for Fig. 16, so it
+// equals that figure's accuracy. PCWay learns the way of every hit and
+// of every fill, and a cold entry counts as a miss.
+func wayPredictorAccuracies(r *Runner, app string) ([]float64, error) {
+	rd, err := r.traceReader(app, vm.ScenarioNormal)
+	if err != nil {
+		return nil, err
+	}
+	recs, err := trace.Collect(rd, 0)
+	if err != nil {
+		return nil, err
+	}
+	acc := make([]float64, 0, 4)
+	for _, ways := range []int{8, 2} {
+		c := cache.New(cache.Config{
+			Name: "L1", SizeBytes: 32 << 10, Ways: ways, LineBytes: 64,
+		})
+		pcw := predictor.NewPCWay(1024)
+		var hits, mruHits, pcHits int
+		for _, rec := range recs {
+			set := c.SetOf(rec.PA)
+			res := c.Access(rec.PA, rec.IsStore())
+			if res.Hit {
+				hits++
+				if res.MRUHit {
+					mruHits++
+				}
+				if pcw.Predict(rec.PC, set) == res.Way {
+					pcHits++
+				}
+			} else {
+				c.Fill(rec.PA, rec.IsStore())
+				// The fill memoised its line, so this lookup reads back
+				// the installed way without touching the recency word.
+				res = c.Access(rec.PA, false)
+			}
+			pcw.Record(rec.PC, set, res.Way)
+		}
+		n := float64(max(hits, 1)) // no hits reads as 0
+		acc = append(acc, float64(mruHits)/n, float64(pcHits)/n)
+	}
+	return acc, nil
 }
 
 // AblationSlowPath quantifies each piece of the SIPT design on the

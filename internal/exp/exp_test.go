@@ -7,6 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"sipt/internal/core"
+	"sipt/internal/cpu"
+	"sipt/internal/sim"
+	"sipt/internal/vm"
 	"sipt/internal/workload"
 )
 
@@ -476,6 +480,52 @@ func TestAblationWayPredictor(t *testing.T) {
 		v, _ := strconv.ParseFloat(cell, 64)
 		if v < 0 || v > 1 {
 			t.Errorf("accuracy %v out of range", v)
+		}
+	}
+}
+
+// TestAblationWayMatchesFig16 keeps abl-way's cache loop from drifting
+// from the way predictor it ablates: at golden options its MRU columns
+// equal, as floats, the way accuracy core.L1 reports for Fig. 16's
+// baseline+WP (8 ways) and SIPT+IDB+WP (2 ways) runs.
+func TestAblationWayMatchesFig16(t *testing.T) {
+	r := NewRunner(goldenOpts())
+	for _, app := range goldenOpts().Apps {
+		acc, err := wayPredictorAccuracies(r, app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sts, err := r.RunConfigs(app, wayPredConfigs(), vm.ScenarioNormal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sts[1].L1.WayAccuracy(); acc[0] != want {
+			t.Errorf("%s: abl-way mru-8way %v, Fig. 16 wp-acc-base %v", app, acc[0], want)
+		}
+		if want := sts[3].L1.WayAccuracy(); acc[2] != want {
+			t.Errorf("%s: abl-way mru-2way %v, Fig. 16 wp-acc-sipt %v", app, acc[2], want)
+		}
+	}
+}
+
+// TestAblationPredictorMatchesFig9 keeps abl-pred's outcome stream
+// from drifting from core.L1's: at golden options its perceptron-64x12
+// column equals, as a float, the bypass accuracy of Fig. 9's 2-bit
+// (32K/2w) run.
+func TestAblationPredictorMatchesFig9(t *testing.T) {
+	r := NewRunner(goldenOpts())
+	fig9 := []sim.Config{sim.SIPT(cpu.OOO(), 32, 2, core.ModeBypass)}
+	for _, app := range goldenOpts().Apps {
+		acc, err := bypassAccuracies(r, app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sts, err := r.RunConfigs(app, fig9, vm.ScenarioNormal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := sts[0].Bypass.Accuracy(); acc[0] != want {
+			t.Errorf("%s: abl-pred perceptron-64x12 %v, Fig. 9 2-bit accuracy %v", app, acc[0], want)
 		}
 	}
 }

@@ -112,17 +112,6 @@ func NewPoint(name string) *Point {
 	return p
 }
 
-// Points lists every registered point name in registration order.
-func Points() []string {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	out := make([]string, len(registry.order))
-	for i, p := range registry.order {
-		out[i] = p.name
-	}
-	return out
-}
-
 // A Rate is an n-in-d firing probability.
 type Rate struct {
 	Num, Den uint64

@@ -44,6 +44,24 @@ type PerceptronStats struct {
 	ExtraAccess uint64
 }
 
+// record tallies one prediction: predicted is the speculate decision,
+// unchanged the true outcome.
+//
+//sipt:hotpath
+func (s *PerceptronStats) record(predicted, unchanged bool) {
+	s.Predictions++
+	switch {
+	case predicted && unchanged:
+		s.CorrectSpeculate++
+	case !predicted && !unchanged:
+		s.CorrectBypass++
+	case !predicted && unchanged:
+		s.OpportunityLoss++
+	default:
+		s.ExtraAccess++
+	}
+}
+
 // Accuracy returns the fraction of correct predictions.
 func (s PerceptronStats) Accuracy() float64 {
 	if s.Predictions == 0 {
@@ -135,18 +153,7 @@ func (p *Perceptron) Predict(pc uint64) bool {
 //
 //sipt:hotpath
 func (p *Perceptron) Train(pc uint64, predicted, unchanged bool) {
-	p.stats.Predictions++
-	switch {
-	case predicted && unchanged:
-		p.stats.CorrectSpeculate++
-	case !predicted && !unchanged:
-		p.stats.CorrectBypass++
-	case !predicted && unchanged:
-		p.stats.OpportunityLoss++
-	default:
-		p.stats.ExtraAccess++
-	}
-
+	p.stats.record(predicted, unchanged)
 	t := int32(-1)
 	if unchanged {
 		t = 1
@@ -264,9 +271,6 @@ func NewIDBSized(bits uint, entries int, noContig bool, seed int64) *IDB {
 
 // Stats returns a copy of the counters.
 func (i *IDB) Stats() IDBStats { return i.stats }
-
-// Bits returns the delta width k.
-func (i *IDB) Bits() uint { return i.bits }
 
 //sipt:hotpath
 func (i *IDB) index(pc uint64) int { return int((pc >> 2) % uint64(len(i.deltas))) }

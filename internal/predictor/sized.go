@@ -67,17 +67,7 @@ func (p *SizedPerceptron) Predict(pc uint64) bool { return p.output(pc) >= 0 }
 // Train updates the predictor with the true outcome (see
 // Perceptron.Train).
 func (p *SizedPerceptron) Train(pc uint64, predicted, unchanged bool) {
-	p.stats.Predictions++
-	switch {
-	case predicted && unchanged:
-		p.stats.CorrectSpeculate++
-	case !predicted && !unchanged:
-		p.stats.CorrectBypass++
-	case !predicted && unchanged:
-		p.stats.OpportunityLoss++
-	default:
-		p.stats.ExtraAccess++
-	}
+	p.stats.record(predicted, unchanged)
 	t := int32(-1)
 	if unchanged {
 		t = 1
@@ -130,17 +120,7 @@ func (c *Counter) Predict(pc uint64) bool { return c.entries[c.index(pc)] >= 2 }
 
 // Train updates the counter with the true outcome.
 func (c *Counter) Train(pc uint64, predicted, unchanged bool) {
-	c.stats.Predictions++
-	switch {
-	case predicted && unchanged:
-		c.stats.CorrectSpeculate++
-	case !predicted && !unchanged:
-		c.stats.CorrectBypass++
-	case !predicted && unchanged:
-		c.stats.OpportunityLoss++
-	default:
-		c.stats.ExtraAccess++
-	}
+	c.stats.record(predicted, unchanged)
 	e := &c.entries[c.index(pc)]
 	if unchanged {
 		if *e < 3 {

@@ -53,6 +53,65 @@ func TestSizedPerceptronMatchesFixedConfiguration(t *testing.T) {
 	}
 }
 
+// FuzzSizedPerceptronMatchesPerceptron drives NewSizedPerceptron(64,
+// 12) and NewPerceptron through one arbitrary op sequence and requires
+// the same answer to every Predict and the same Stats after every op.
+// Each op is two bytes, flags then PC:
+//
+//	bit 0   0: Predict, 1: Train
+//	bit 1   Train's predicted flag, unless bit 4 is set
+//	bit 2   Train's true outcome (unchanged)
+//	bit 3   Train the PC of the last Predict instead of the PC byte
+//	bit 4   pass the last Predict's answer as predicted
+//	bits 5-6 the PC's low bits, which the table index drops
+//
+// A Train whose PC is not the last Predict's, or that follows another
+// Train, makes Perceptron recompute the dot product instead of reading
+// its lastPC/lastY memo; Fig. 9's outcome tally sees every combination
+// of predicted and unchanged.
+//
+//	go test -run='^$' -fuzz=FuzzSizedPerceptronMatchesPerceptron ./internal/predictor/
+func FuzzSizedPerceptronMatchesPerceptron(f *testing.F) {
+	// A paired Predict/Train stream on two PCs, a Train of another PC
+	// between a Predict and its Train, unpaired Trains, and a stream
+	// that fails if Train reads the memo without checking its PC.
+	f.Add([]byte{0x00, 1, 0x1d, 0, 0x00, 2, 0x19, 0, 0x00, 1, 0x1f, 0, 0x00, 2, 0x1b, 0})
+	f.Add([]byte{0x00, 1, 0x05, 3, 0x0d, 0, 0x60, 1, 0x09, 0, 0x03, 9, 0x01, 9})
+	f.Add([]byte{0x07, 5, 0x07, 5, 0x07, 5, 0x01, 5, 0x00, 5, 0x41, 69})
+	f.Add([]byte("101000100010101010101011111111011202"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fixed, sized := NewPerceptron(), NewSizedPerceptron(PerceptronEntries, HistoryLen)
+		var lastPC uint64
+		var lastPred bool
+		for i := 0; i+1 < len(data); i += 2 {
+			op := data[i]
+			pc := uint64(data[i+1])<<2 | uint64(op>>5)&3
+			if op&1 == 0 {
+				pf, ps := fixed.Predict(pc), sized.Predict(pc)
+				if pf != ps {
+					t.Fatalf("op %d: Predict(%#x) = %v, sized %v", i/2, pc, pf, ps)
+				}
+				lastPC, lastPred = pc, pf
+			} else {
+				if op&8 != 0 {
+					pc = lastPC
+				}
+				predicted := op&2 != 0
+				if op&16 != 0 {
+					predicted = lastPred
+				}
+				unchanged := op&4 != 0
+				fixed.Train(pc, predicted, unchanged)
+				sized.Train(pc, predicted, unchanged)
+			}
+			if fixed.Stats() != sized.Stats() {
+				t.Fatalf("op %d: Stats %+v, sized %+v", i/2, fixed.Stats(), sized.Stats())
+			}
+		}
+	})
+}
+
 func TestSizedPerceptronInsensitiveToUpsizing(t *testing.T) {
 	// Paper Sec. V: larger tables / longer histories do not move the
 	// needle much once accuracy is high.

@@ -2,93 +2,19 @@ package predictor
 
 import "fmt"
 
-// Way predictors (Sec. VII-A). The paper evaluates the simple scheme of
+// Way prediction (Sec. VII-A). The paper evaluates the simple scheme of
 // Inoue et al.: the MRU way of each set is always predicted, with 3
-// bits of metadata per set for an 8-way cache, and notes that "fancy
-// predictors may increase the accuracy" but finds MRU already high and
-// robust. Both designs are provided so that claim is measurable.
+// bits of metadata per set for an 8-way cache. The simulator reads that
+// prediction from the cache's own recency head
+// (cache.AccessResult.MRUHit), so it needs no table here. The paper
+// notes that "fancy predictors may increase the accuracy" but finds MRU
+// already high and robust; PCWay is that fancier comparison point.
 
-// WayPredictor guesses which way of a set holds the accessed line.
-type WayPredictor interface {
-	// Predict returns the way to fetch first for an access by pc to the
-	// given set, or -1 when the predictor has no basis yet.
-	Predict(pc uint64, set uint64) int
-	// Update records the way that actually hit.
-	Update(pc uint64, set uint64, way int)
-	// Stats returns accuracy counters.
-	Stats() WayStats
-}
-
-// WayStats counts way-prediction outcomes.
-type WayStats struct {
-	Predictions uint64
-	Hits        uint64
-}
-
-// Accuracy returns hits/predictions.
-func (s WayStats) Accuracy() float64 {
-	if s.Predictions == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Predictions)
-}
-
-// MRUWay is the paper's evaluated design: per-set most-recently-used
-// way metadata (log2(ways) bits per set), read before the cache access.
-type MRUWay struct {
-	ways  []int8
-	stats WayStats
-}
-
-// NewMRUWay builds the per-set table.
-func NewMRUWay(sets int) *MRUWay {
-	if sets <= 0 {
-		panic(fmt.Sprintf("predictor: MRUWay sets = %d", sets))
-	}
-	m := &MRUWay{ways: make([]int8, sets)}
-	for i := range m.ways {
-		m.ways[i] = -1
-	}
-	return m
-}
-
-// Predict implements WayPredictor; the PC is ignored (pure MRU).
-func (m *MRUWay) Predict(_ uint64, set uint64) int {
-	return int(m.ways[set%uint64(len(m.ways))])
-}
-
-// Update implements WayPredictor.
-func (m *MRUWay) Update(_ uint64, set uint64, way int) {
-	s := set % uint64(len(m.ways))
-	if m.ways[s] >= 0 {
-		m.stats.Predictions++
-		if int(m.ways[s]) == way {
-			m.stats.Hits++
-		}
-	}
-	m.ways[s] = int8(way)
-}
-
-// Stats implements WayPredictor.
-func (m *MRUWay) Stats() WayStats { return m.stats }
-
-// StorageBits returns the metadata cost for the given associativity:
-// the paper's "3 bits per set for an 8-way cache".
-func (m *MRUWay) StorageBits(ways int) int {
-	bits := 0
-	for w := 1; w < ways; w <<= 1 {
-		bits++
-	}
-	return len(m.ways) * bits
-}
-
-// PCWay is the "fancier" alternative: a table indexed by a hash of the
-// memory instruction's PC and the set, capturing which way a given
-// static access streams through. It can beat MRU when several streams
-// interleave in one set.
+// PCWay is a table indexed by a hash of the memory instruction's PC and
+// the set, capturing which way a given static access streams through.
+// It can beat MRU when several streams interleave in one set.
 type PCWay struct {
-	ways  []int8
-	stats WayStats
+	ways []int8
 }
 
 // NewPCWay builds a table with the given number of entries.
@@ -107,22 +33,14 @@ func (p *PCWay) index(pc, set uint64) uint64 {
 	return ((pc >> 2) ^ set*0x9e3779b9) % uint64(len(p.ways))
 }
 
-// Predict implements WayPredictor.
-func (p *PCWay) Predict(pc uint64, set uint64) int {
+// Predict returns the way to fetch first for an access by pc to the
+// given set, or -1 when the entry has never been recorded.
+func (p *PCWay) Predict(pc, set uint64) int {
 	return int(p.ways[p.index(pc, set)])
 }
 
-// Update implements WayPredictor.
-func (p *PCWay) Update(pc uint64, set uint64, way int) {
-	i := p.index(pc, set)
-	if p.ways[i] >= 0 {
-		p.stats.Predictions++
-		if int(p.ways[i]) == way {
-			p.stats.Hits++
-		}
-	}
-	p.ways[i] = int8(way)
+// Record notes that pc's access to set found (on a hit) or installed
+// (on a fill) its line in way.
+func (p *PCWay) Record(pc, set uint64, way int) {
+	p.ways[p.index(pc, set)] = int8(way)
 }
-
-// Stats implements WayPredictor.
-func (p *PCWay) Stats() WayStats { return p.stats }
